@@ -3,8 +3,6 @@
 Run from the repository root:  python3 demos/01_crossed_modules.py
 """
 
-import numpy as np
-
 from cmtop import (
     build_aut_group,
     build_cyclic,
@@ -39,8 +37,8 @@ print("strict validation (includes the Peiffer identity):",
 
 print()
 print("== catching a corrupted table ==")
-broken_action = np.array(identity_cm(s3).action)
-broken_action[2, 3] = (broken_action[2, 3] + 1) % 6
+broken_action = [list(row) for row in identity_cm(s3).action]
+broken_action[2][3] = (broken_action[2][3] + 1) % 6
 broken = CrossedModule(s3, s3, identity_cm(s3).boundary, broken_action, "broken")
 for violation in validate(broken)[:3]:
     print("  ", violation)

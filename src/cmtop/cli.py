@@ -86,10 +86,11 @@ def _cmd_validate_complex(args) -> int:
 def _cmd_invariant(args) -> int:
     cm = _load_cm(args.cm, strict=False)
     c = _load_complex(args.complex)
+    budget = statesum.default_budget() if args.budget is None else args.budget
     if args.engine == "brute":
-        value = statesum.brute_force_invariant(cm, c, budget=args.budget)
+        value = statesum.brute_force_invariant(cm, c, budget=budget)
     else:
-        value = statesum.invariant(cm, c, threads=args.threads)
+        value = statesum.invariant(cm, c, node_budget=budget)
     if args.json:
         v = value.value
         print(json.dumps({
@@ -209,8 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--cm", required=True)
     inv.add_argument("--engine", choices=("brute", "fast"), default="fast")
     inv.add_argument("--budget", type=int, default=None,
-                     help="brute-force coloring budget (default 1e8, env CMTOP_BUDGET)")
-    inv.add_argument("--threads", type=int, default=1)
+                     help="colorings (brute) or search nodes (fast) allowed "
+                          "before exit 1 (default 1e8, env CMTOP_BUDGET)")
+    inv.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: the engines run sequentially")
     inv.add_argument("--json", action="store_true")
     inv.set_defaults(func=_cmd_invariant)
 
@@ -259,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     except (fileio.FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (moves.MoveError, statesum.BudgetExceededError, ValueError) as exc:
+    except (moves.MoveError, statesum.BudgetExceededError,
+            statesum.SearchBudgetExceededError, RecursionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,9 @@ The G-on-G action is conjugation by definition and is not stored.
 The Peiffer identity bnd(y) ▷ y' = y y' y^-1 is a separate, opt-in strict
 check: it is standard in the literature but absent from the definition this
 package follows, and some valid inputs here genuinely fail it.
+
+The action is stored as a tuple of int tuples, like the group tables, so a
+crossed module is immutable and compares and hashes by value.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .groups import (
     FiniteGroup,
     GroupHom,
+    Table,
     build_aut_group,
     build_trivial,
     kernel,
@@ -47,20 +49,24 @@ class CrossedModule:
     h: FiniteGroup
     g: FiniteGroup
     boundary: GroupHom
-    action: np.ndarray  # shape (|G|, |H|); action[x][y] = x |> y
+    action: Table  # |G| rows of |H| entries; action[x][y] = x |> y
     name: str = "cm"
 
     def __post_init__(self):
-        if self.action.shape != (self.g.order, self.h.order):
+        # accept any nested int sequence (lists, numpy arrays) and store tuples
+        action = tuple(tuple(int(y) for y in row) for row in self.action)
+        object.__setattr__(self, "action", action)
+        if len(action) != self.g.order or any(len(row) != self.h.order for row in action):
+            widths = sorted({len(row) for row in action})
             raise ValueError(
-                f"action table shape {self.action.shape} != ({self.g.order}, {self.h.order})")
+                f"action table has {len(action)} rows of widths {widths}, "
+                f"want ({self.g.order}, {self.h.order})")
         if self.boundary.source is not self.h or self.boundary.target is not self.g:
             raise ValueError("boundary must map h to g")
-        self.action.setflags(write=False)
 
     def act(self, x: int, y: int) -> int:
         """x ▷ y."""
-        return int(self.action[x, y])
+        return self.action[x][y]
 
     def bnd(self, y: int) -> int:
         return self.boundary.map[y]
@@ -80,23 +86,17 @@ class CrossedModule:
         return f"CrossedModule({self.name!r}, |H|={self.h.order}, |G|={self.g.order})"
 
 
-def _make(h, g, boundary_images, action, name) -> CrossedModule:
-    hom = GroupHom.from_map(h, g, boundary_images)
-    arr = np.asarray(action, dtype=np.int64)
-    return CrossedModule(h=h, g=g, boundary=hom, action=arr, name=name)
-
-
 def make_crossed_module(
     h: FiniteGroup,
     g: FiniteGroup,
     boundary_images: Iterable[int],
-    action: Sequence[Sequence[int]] | np.ndarray,
+    action: Sequence[Sequence[int]],
     name: str = "cm",
     *,
     strict_peiffer: bool = False,
 ) -> CrossedModule:
     """Build a crossed module and raise if any axiom fails."""
-    cm = _make(h, g, boundary_images, action, name)
+    cm = CrossedModule(h, g, GroupHom.from_map(h, g, boundary_images), action, name)
     report = validate(cm, strict_peiffer=strict_peiffer)
     if report:
         raise ValueError("invalid crossed module: " + "; ".join(map(str, report[:3])))
@@ -106,19 +106,19 @@ def make_crossed_module(
 def validate(cm: CrossedModule, strict_peiffer: bool = False) -> list[Violation]:
     """Check every axiom exhaustively; return all violations with witnesses.
 
-    Re-checks the boundary homomorphism property too, so a table mutated
-    after construction is still caught.
+    Re-checks the boundary homomorphism property too, so a boundary map
+    built without ``GroupHom.from_map`` is still caught.  The action's shape
+    is already enforced at construction.
     """
     h, g = cm.h, cm.g
     act = cm.action
     bnd = cm.boundary.map
     out: list[Violation] = []
 
-    if act.shape != (g.order, h.order):
-        return [Violation("shape", act.shape, "action table has wrong shape")]
-    if act.min() < 0 or act.max() >= h.order:
-        x, y = map(int, np.argwhere((act < 0) | (act >= h.order))[0])
-        return [Violation("range", (x, y), f"action entry {act[x, y]} outside H")]
+    for x, row in enumerate(act):
+        for y, v in enumerate(row):
+            if not 0 <= v < h.order:
+                return [Violation("range", (x, y), f"action entry {v} outside H")]
 
     if len(bnd) != h.order or bnd[0] != 0:
         out.append(Violation("boundary-identity", (0,), "bnd(e_H) != e_G"))
@@ -130,13 +130,13 @@ def validate(cm: CrossedModule, strict_peiffer: bool = False) -> list[Violation]
                     f"bnd({a}*{b})={bnd[h.mul(a, b)]} but bnd({a})*bnd({b})={g.mul(bnd[a], bnd[b])}"))
 
     for y in range(h.order):
-        if act[0, y] != y:
-            out.append(Violation("left-action-identity", (y,), f"e_G |> {y} = {act[0, y]}"))
+        if act[0][y] != y:
+            out.append(Violation("left-action-identity", (y,), f"e_G |> {y} = {act[0][y]}"))
     for x1 in range(g.order):
         for x2 in range(g.order):
             x12 = g.mul(x1, x2)
             for y in range(h.order):
-                if act[x12, y] != act[x1, act[x2, y]]:
+                if act[x12][y] != act[x1][act[x2][y]]:
                     out.append(Violation(
                         "left-action-compose", (x1, x2, y),
                         f"({x1}{x2}) |> {y} != {x1} |> ({x2} |> {y})"))
@@ -144,20 +144,20 @@ def validate(cm: CrossedModule, strict_peiffer: bool = False) -> list[Violation]
     # Def 2.1(2): bnd(x |> y) = x bnd(y) x^-1
     for x in range(g.order):
         for y in range(h.order):
-            if bnd[act[x, y]] != g.conj(x, bnd[y]):
+            if bnd[act[x][y]] != g.conj(x, bnd[y]):
                 out.append(Violation(
                     "equivariance", (x, y),
-                    f"bnd({x} |> {y}) = {bnd[act[x, y]]} != conj = {g.conj(x, bnd[y])}"))
+                    f"bnd({x} |> {y}) = {bnd[act[x][y]]} != conj = {g.conj(x, bnd[y])}"))
 
     # Def 2.1(3): each f_x is an automorphism of H
     for x in range(g.order):
         row = act[x]
-        if len(set(int(v) for v in row)) != h.order:
+        if len(set(row)) != h.order:
             out.append(Violation("action-bijective", (x,), "f_x is not a bijection"))
             continue
         for y1 in range(h.order):
             for y2 in range(h.order):
-                if row[h.mul(y1, y2)] != h.mul(int(row[y1]), int(row[y2])):
+                if row[h.mul(y1, y2)] != h.mul(row[y1], row[y2]):
                     out.append(Violation(
                         "action-multiplicative", (x, y1, y2),
                         f"f_{x}({y1}*{y2}) != f_{x}({y1})*f_{x}({y2})"))
@@ -165,10 +165,10 @@ def validate(cm: CrossedModule, strict_peiffer: bool = False) -> list[Violation]
     if strict_peiffer:
         for y in range(h.order):
             for y2 in range(h.order):
-                if act[bnd[y], y2] != h.conj(y, y2):
+                if act[bnd[y]][y2] != h.conj(y, y2):
                     out.append(Violation(
                         "peiffer", (y, y2),
-                        f"bnd({y}) |> {y2} = {act[bnd[y], y2]} != {y}{y2}{y}^-1 = {h.conj(y, y2)}"))
+                        f"bnd({y}) |> {y2} = {act[bnd[y]][y2]} != {y}{y2}{y}^-1 = {h.conj(y, y2)}"))
     return out
 
 

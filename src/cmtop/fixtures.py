@@ -10,8 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 
-import numpy as np
-
 from .complexes import ComplexBuilder, OrderedComplex, from_tet_list, prism_product
 from .crossed_modules import (
     CrossedModule,
@@ -137,8 +135,8 @@ VALID_COMPLEX_NAMES = ("single_tet", "s3_boundary_4simplex", "solid_torus", "s2_
 def broken_cm() -> CrossedModule:
     """identity_cm(Z/3) with one action entry corrupted; validate reports it."""
     cm = identity_cm(group("z3"))
-    action = np.array(cm.action)
-    action[1, 2] = 0
+    action = [list(row) for row in cm.action]
+    action[1][2] = 0
     return CrossedModule(cm.h, cm.g, cm.boundary, action, "broken_cm")
 
 

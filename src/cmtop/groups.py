@@ -1,8 +1,9 @@
 """Finite groups as explicit Cayley tables, with 0-based element indices.
 
 Every group in this package is a full multiplication table over elements
-0..order-1, with 0 always the identity.  Groups are immutable after
-construction and safe to share between threads.
+0..order-1, with 0 always the identity.  Tables are tuples of int tuples,
+so groups are immutable, compare and hash by value, and are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -12,21 +13,25 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 ASSOC_EXHAUSTIVE_BOUND = 64
 ASSOC_SAMPLES = 10_000
+
+Table = tuple[tuple[int, ...], ...]
 
 
 class GroupTableError(ValueError):
     """Raised when a multiplication table fails a group axiom."""
 
 
-def _as_table(table: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise GroupTableError(f"table must be square, got shape {arr.shape}")
-    return arr
+def _as_table(table: Sequence[Sequence[int]]) -> Table:
+    try:
+        rows = tuple(tuple(int(x) for x in row) for row in table)
+    except TypeError as exc:
+        raise GroupTableError("table must be a square array of integers") from exc
+    if any(len(row) != len(rows) for row in rows):
+        widths = sorted({len(row) for row in rows})
+        raise GroupTableError(f"table must be square, got {len(rows)} rows of widths {widths}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -38,67 +43,66 @@ class FiniteGroup:
     """
 
     order: int
-    table: np.ndarray
-    inverses: np.ndarray
+    table: Table
+    inverses: tuple[int, ...]
     name: str = "G"
     identity: int = 0
-
-    def __post_init__(self):
-        self.table.setflags(write=False)
-        self.inverses.setflags(write=False)
 
     @classmethod
     def from_table(
         cls,
-        table: Sequence[Sequence[int]] | np.ndarray,
+        table: Sequence[Sequence[int]],
         name: str = "G",
         *,
         assoc_bound: int = ASSOC_EXHAUSTIVE_BOUND,
         rng: random.Random | None = None,
     ) -> "FiniteGroup":
-        """Build and validate a group from a raw table.
+        """Build and validate a group from a raw table (any nested int
+        sequence, numpy arrays included).
 
         Closure, identity and inverse laws are always checked exhaustively.
         Associativity is exhaustive up to ``assoc_bound`` (cubic cost) and
         spot-checked on random triples above it.
         """
-        arr = _as_table(table)
-        n = arr.shape[0]
+        t = _as_table(table)
+        n = len(t)
         if n == 0:
             raise GroupTableError("empty table")
-        if arr.min() < 0 or arr.max() >= n:
-            bad = np.argwhere((arr < 0) | (arr >= n))[0]
-            raise GroupTableError(
-                f"table not closed: entry at {tuple(bad)} out of range [0,{n})")
-        idx = np.arange(n)
-        if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
+        for a, row in enumerate(t):
+            for b, x in enumerate(row):
+                if not 0 <= x < n:
+                    raise GroupTableError(
+                        f"table not closed: entry at {(a, b)} out of range [0,{n})")
+        idx = tuple(range(n))
+        if t[0] != idx or tuple(row[0] for row in t) != idx:
             raise GroupTableError("element 0 is not a two-sided identity")
-        inverses = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(arr[a] == 0)
-            if len(hits) != 1 or arr[hits[0], a] != 0:
+        inverses = []
+        for a, row in enumerate(t):
+            hits = [b for b, x in enumerate(row) if x == 0]
+            if len(hits) != 1 or t[hits[0]][a] != 0:
                 raise GroupTableError(f"element {a} has no two-sided inverse")
-            inverses[a] = hits[0]
+            inverses.append(hits[0])
         if n <= assoc_bound:
-            # (a*b)*c == a*(b*c), fully vectorized over all triples
-            lhs = arr[arr[:, :, None], idx[None, None, :]]
-            rhs = arr[idx[:, None, None], arr[None, :, :]]
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                raise GroupTableError(f"associativity fails at {tuple(bad)}")
+            # (a*b)*c == a*(b*c): row a*b of the table against row a read
+            # through row b, for every pair (a, b)
+            for a, row in enumerate(t):
+                for b, ab in enumerate(row):
+                    if t[ab] != tuple(row[x] for x in t[b]):
+                        c = next(c for c in idx if t[ab][c] != row[t[b][c]])
+                        raise GroupTableError(f"associativity fails at {(a, b, c)}")
         else:
             rng = rng or random.Random(0)
             for _ in range(ASSOC_SAMPLES):
                 a, b, c = (rng.randrange(n) for _ in range(3))
-                if arr[arr[a, b], c] != arr[a, arr[b, c]]:
+                if t[t[a][b]][c] != t[a][t[b][c]]:
                     raise GroupTableError(f"associativity fails at ({a},{b},{c})")
-        return cls(order=n, table=arr, inverses=inverses, name=name)
+        return cls(order=n, table=t, inverses=tuple(inverses), name=name)
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.inverses[a]
 
     def elements(self) -> range:
         return range(self.order)
@@ -107,22 +111,22 @@ class FiniteGroup:
         """Left-to-right product of the given elements."""
         acc = 0
         for x in elts:
-            acc = int(self.table[acc, x])
+            acc = self.table[acc][x]
         return acc
 
     def conj(self, a: int, b: int) -> int:
         """a b a^-1."""
-        return int(self.table[self.table[a, b], self.inverses[a]])
+        return self.table[self.table[a][b]][self.inverses[a]]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
-            x = int(self.table[x, a])
+            x = self.table[x][a]
             k += 1
         return k
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return self.table == tuple(zip(*self.table))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -139,8 +143,8 @@ def build_cyclic(n: int, name: str | None = None) -> FiniteGroup:
     """Z/n with addition mod n; identity is 0."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
-    a = np.arange(n)
-    return FiniteGroup.from_table((a[:, None] + a[None, :]) % n, name or f"Z{n}")
+    return FiniteGroup.from_table(
+        [[(a + b) % n for b in range(n)] for a in range(n)], name or f"Z{n}")
 
 
 def build_trivial(name: str = "1") -> FiniteGroup:
@@ -151,7 +155,7 @@ def build_direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None
     """A x B with element (x,y) encoded as x*|B| + y.  Identity stays 0."""
     nb = b.order
     table = [
-        [b.table[y1, y2] + nb * a.table[x1, x2] for x2 in range(a.order) for y2 in range(nb)]
+        [b.table[y1][y2] + nb * a.table[x1][x2] for x2 in range(a.order) for y2 in range(nb)]
         for x1 in range(a.order)
         for y1 in range(nb)
     ]

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import fixtures
 from .complexes import relabel, validate_manifold_basics
 from .crossed_modules import CrossedModule, validate
@@ -325,9 +323,9 @@ def _cm_mutations(cm: CrossedModule):
     for x in range(cm.g.order):
         for y in range(cm.h.order):
             for v in range(cm.h.order):
-                if v != cm.action[x, y]:
-                    action = np.array(cm.action)
-                    action[x, y] = v
+                if v != cm.action[x][y]:
+                    action = [list(row) for row in cm.action]
+                    action[x][y] = v
                     yield CrossedModule(cm.h, cm.g, cm.boundary, action, "mut")
     for y in range(cm.h.order):
         for v in range(cm.g.order):
@@ -338,7 +336,7 @@ def _cm_mutations(cm: CrossedModule):
                 object.__setattr__(hom, "source", cm.h)
                 object.__setattr__(hom, "target", cm.g)
                 object.__setattr__(hom, "map", tuple(images))
-                yield CrossedModule(cm.h, cm.g, hom, np.array(cm.action), "mut")
+                yield CrossedModule(cm.h, cm.g, hom, cm.action, "mut")
 
 
 def criterion_10_validation(seed=0):

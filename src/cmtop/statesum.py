@@ -19,12 +19,15 @@ with N the number of admissible colorings.  Everything here is exact
 rational arithmetic; both engines return that factored form.
 
 Two engines compute N.  ``brute_force_invariant`` enumerates the full
-coloring space |G|^|K1| * |H|^|K2| (numpy-vectorized, budget-gated) and is
-the oracle.  ``invariant`` backtracks over edge colors, prunes faces whose
-required boundary image is outside im(bnd), forces face colors through
-their kernel cosets, and resolves tet constraints by solving for the last
-unknown face; it never enumerates the full space and must agree with the
-oracle exactly wherever both run.
+coloring space |G|^|K1| * |H|^|K2| (budget-gated) and is the oracle; it is
+the only code in the package that imports numpy, lazily, to sweep the
+larger of the edge and face factors as arrays.  ``invariant`` backtracks
+over edge colors and prunes faces whose required boundary image is outside
+im(bnd).  When ker(bnd) is trivial each surviving edge coloring counts
+once; otherwise it enumerates face colors through their kernel cosets and
+resolves tet constraints by solving for the last unknown face.  It never
+enumerates the full space, is bounded by a search-node budget, and must
+agree with the oracle exactly wherever both run.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .complexes import OrderedComplex
 from .crossed_modules import CrossedModule
@@ -136,103 +137,73 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     The coloring space has |G|^|K1| * |H|^|K2| points; anything over the
     budget raises BudgetExceededError with a pointer at the fast engine.
     The enumeration loops python-side over the smaller of the two factors
-    and sweeps the larger one as chunked numpy arrays.
+    (the outer side) and sweeps the larger one (the inner side) as chunked
+    numpy digit arrays.  This is the only place that uses numpy.
     """
+    import numpy as np
+
     budget = default_budget() if budget is None else budget
-    ng, nh = cm.g.order, cm.h.order
+    g, h = cm.g, cm.h
     E, F = len(c.edges), len(c.faces)
-    total = ng**E * nh**F
+    total = g.order**E * h.order**F
     if total > budget:
         raise BudgetExceededError(
             f"{total} colorings exceed budget {budget}; use the fast engine "
             f"(invariant) or raise the budget")
-    if ng**E <= nh**F:
-        n = _brute_loop_edges(cm, c)
-    else:
-        n = _brute_loop_faces(cm, c)
-    return _result(n, cm, c)
-
-
-def _digit_arrays(count: int, radix: int, ndigits: int, start: int) -> list[np.ndarray]:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    out = []
-    for _ in range(ndigits):
-        out.append((idx % radix).astype(np.int64))
-        idx //= radix
-    return out
-
-
-def _brute_loop_edges(cm: CrossedModule, c: OrderedComplex) -> int:
-    """Python loop over edge colorings, numpy sweep over face colorings."""
-    ht = cm.h.table
-    hinv = cm.h.inverses
-    bnd = np.asarray(cm.boundary.map, dtype=np.int64)
-    act = cm.action
-    image = set(cm.boundary.map)
-    E, F = len(c.edges), len(c.faces)
-    nh = cm.h.order
-    total_h = nh**F
-    g = cm.g
+    dtype = np.min_scalar_type(max(g.order, h.order) - 1)
+    gt, ginv, ht, hinv, act, bnd = (
+        np.asarray(x, dtype=dtype)
+        for x in (g.table, g.inverses, h.table, h.inverses, cm.action, cm.boundary.map))
+    image = cm.image_of_boundary()
     e23s = [c.faces[f123][2] for (_, _, _, f123) in c.tets]
+    edges_outer = g.order**E <= h.order**F
+    outer_radix, outer_len, inner_radix, inner_len = (
+        (g.order, E, h.order, F) if edges_outer else (h.order, F, g.order, E))
+    inner_total = inner_radix**inner_len
     count = 0
-    for start in range(0, total_h, _CHUNK):
-        m = min(_CHUNK, total_h - start)
-        hdig = _digit_arrays(m, nh, F, start)
-        bnd_h = [bnd[hdig[f]] for f in range(F)]
-        for ec in itertools.product(range(cm.g.order), repeat=E):
-            reqs = [g.word(ec[e02], g.inv(ec[e01]), g.inv(ec[e12]))
-                    for (e01, e02, e12) in c.faces]
-            if any(r not in image for r in reqs):
-                continue
+    for start in range(0, inner_total, _CHUNK):
+        m = min(_CHUNK, inner_total - start)
+        idx = np.arange(start, start + m, dtype=np.int64)
+        inner = []
+        for _ in range(inner_len):
+            inner.append((idx % inner_radix).astype(dtype))
+            idx //= inner_radix
+        del idx
+        # each face equation bnd(h_f) = g02 g01^-1 g12^-1, split into its
+        # H-side and G-side terms; the inner side's terms are arrays built
+        # once per chunk, the outer side's are scalars per outer assignment
+        if edges_outer:
+            hc = inner
+            inner_terms = [bnd[y] for y in hc]
+        else:
+            ec = inner
+            inner_terms = [gt[gt[ec[e02], ginv[ec[e01]]], ginv[ec[e12]]]
+                           for (e01, e02, e12) in c.faces]
+        for outer in itertools.product(range(outer_radix), repeat=outer_len):
+            if edges_outer:
+                ec = outer
+                outer_terms = [g.word(ec[e02], g.inv(ec[e01]), g.inv(ec[e12]))
+                               for (e01, e02, e12) in c.faces]
+                if not image.issuperset(outer_terms):
+                    continue  # no face coloring meets a requirement outside im(bnd)
+            else:
+                hc = outer
+                outer_terms = [cm.bnd(y) for y in hc]
             mask = np.ones(m, dtype=bool)
-            for f in range(F):
-                mask &= bnd_h[f] == reqs[f]
+            for inner_term, outer_term in zip(inner_terms, outer_terms):
+                mask &= inner_term == outer_term
                 if not mask.any():
                     break
             else:
                 for t, (f012, f013, f023, f123) in enumerate(c.tets):
-                    twisted = act[ec[e23s[t]]][hdig[f012]]
-                    w = ht[ht[hdig[f023], twisted], ht[hinv[hdig[f123]], hinv[hdig[f013]]]]
+                    w = ht[ht[hc[f023], act[ec[e23s[t]], hc[f012]]],
+                           ht[hinv[hc[f123]], hinv[hc[f013]]]]
                     mask &= w == 0
                     if not mask.any():
                         break
-                count += int(mask.sum())
-    return count
-
-
-def _brute_loop_faces(cm: CrossedModule, c: OrderedComplex) -> int:
-    """Python loop over face colorings, numpy sweep over edge colorings."""
-    gt, ht = cm.g.table, cm.h.table
-    ginv = cm.g.inverses
-    h = cm.h
-    bnd = cm.boundary.map
-    act = cm.action
-    E, F = len(c.edges), len(c.faces)
-    ng = cm.g.order
-    total_g = ng**E
-    e23s = [c.faces[f123][2] for (_, _, _, f123) in c.tets]
-    count = 0
-    for start in range(0, total_g, _CHUNK):
-        m = min(_CHUNK, total_g - start)
-        edig = _digit_arrays(m, ng, E, start)
-        req = []
-        for e01, e02, e12 in c.faces:
-            req.append(gt[gt[edig[e02], ginv[edig[e01]]], ginv[edig[e12]]])
-        for hc in itertools.product(range(cm.h.order), repeat=F):
-            mask = np.ones(m, dtype=bool)
-            for f in range(F):
-                mask &= req[f] == bnd[hc[f]]
-                if not mask.any():
-                    break
-            else:
-                for t, (f012, f013, f023, f123) in enumerate(c.tets):
-                    tail = h.mul(h.inv(hc[f123]), h.inv(hc[f013]))
-                    w = ht[ht[hc[f023], act[edig[e23s[t]], hc[f012]]], tail]
-                    mask &= w == 0
-                    if not mask.any():
-                        break
-                count += int(mask.sum())
-    return count
+                count += int(np.count_nonzero(mask))
+        del inner, inner_terms, hc, ec  # free this chunk before building the next
+    return _result(count, cm, c)
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +217,21 @@ class _Engine:
         self.node_budget = node_budget
         self.nodes = 0
         g, h = cm.g, cm.h
-        self.mul_g = g.table.tolist()
-        self.inv_g = g.inverses.tolist()
-        self.mul_h = h.table.tolist()
-        self.inv_h = h.inverses.tolist()
-        self.act = cm.action.tolist()
-        self.bnd = list(cm.boundary.map)
+        self.mul_g, self.inv_g = g.table, g.inverses
+        self.mul_h, self.inv_h = h.table, h.inverses
+        self.act = cm.action
+        self.bnd = cm.boundary.map
         self.ker = sorted(cm.kernel_of_boundary())
         pre = [-1] * g.order
         for y in range(h.order - 1, -1, -1):
             pre[self.bnd[y]] = y
         self.pre = pre  # one preimage per image element, -1 outside the image
-        self.faces = [tuple(f) for f in c.faces]
-        self.tets = [tuple(t) for t in c.tets]
+        self.faces = c.faces
+        self.tets = c.tets
+
+    def _plan_faces(self) -> None:
+        """Kernel-coset elimination plans, one per component of faces linked
+        through shared tets; faces in no tet are counted as free cosets."""
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
         self.face_tets = [[] for _ in self.faces]
         for t, slots in enumerate(self.tets):
@@ -267,13 +240,6 @@ class _Engine:
         constrained = [f for f in range(len(self.faces)) if self.face_tets[f]]
         self.free_faces = len(self.faces) - len(constrained)
         self.plans = [self._component_plan(comp) for comp in self._components(constrained)]
-        self.edge_order = self._edge_order()
-        # faces become checkable once all their edges are assigned
-        self.faces_done_at = [[] for _ in self.edge_order]
-        pos = {e: i for i, e in enumerate(self.edge_order)}
-        for f, slots in enumerate(self.faces):
-            last = max(pos[e] for e in set(slots))
-            self.faces_done_at[last].append(f)
 
     def _edge_order(self) -> list[int]:
         remaining = [len(set(f)) for f in self.faces]
@@ -302,64 +268,48 @@ class _Engine:
                 f"fast engine exceeded {self.node_budget} search nodes")
 
     def run(self) -> int:
-        E = len(self.c.edges)
-        F = len(self.faces)
-        if E == 0:
-            return 1  # no edges implies no faces or tets
-        if self.ker == [0] and -1 not in self.pre:
-            # bnd is an isomorphism: every face color is the unique preimage
-            # of its holonomy requirement, and pushing the tet obstruction
-            # through bnd telescopes it to e for every edge coloring, so
-            # every edge coloring is admissible exactly once.
-            return self.cm.g.order**E
+        E, F = len(self.c.edges), len(self.faces)
+        if len(self.ker) == 1:
+            # Trivial kernel: each face color is the unique preimage of its
+            # holonomy requirement, and by equivariance bnd sends every tet
+            # obstruction of such a coloring to e (it telescopes), so every
+            # edge coloring whose requirements all lie in im(bnd) counts
+            # exactly once: with no face plans every search leaf counts 1,
+            # and with im(bnd) = G no search is needed.
+            if -1 not in self.pre:
+                return self.cm.g.order**E
+            self.plans, self.free_faces = [], 0
+        else:
+            self._plan_faces()
+        self.edge_order = self._edge_order()
+        # faces become checkable once all their edges are assigned
+        self.faces_done_at = [[] for _ in self.edge_order]
+        pos = {e: i for i, e in enumerate(self.edge_order)}
+        for f, slots in enumerate(self.faces):
+            last = max(pos[e] for e in set(slots))
+            self.faces_done_at[last].append(f)
         self.g_assign = [0] * E
         self.req = [-1] * F
-        forced = self.ker == [0]
-        if forced:
-            self.h_assign = [-1] * F
-            self.tet_left = [len(set(t)) for t in self.tets]
-        return self._edge_dfs(0, forced)
+        self.h_assign = [-1] * F
+        return self._edge_dfs(0)
 
-    def _edge_dfs(self, depth: int, forced: bool) -> int:
+    def _edge_dfs(self, depth: int) -> int:
         if depth == len(self.edge_order):
-            if forced:
-                return 1
             return self._count_h()
         e = self.edge_order[depth]
-        mul, inv, bnd = self.mul_g, self.inv_g, self.bnd
+        mul, inv, ga = self.mul_g, self.inv_g, self.g_assign
         total = 0
         for val in range(self.cm.g.order):
             self._tick()
-            self.g_assign[e] = val
-            ok = True
-            completed = []
+            ga[e] = val
             for f in self.faces_done_at[depth]:
                 e01, e02, e12 = self.faces[f]
-                ga = self.g_assign
                 r = mul[mul[ga[e02]][inv[ga[e01]]]][inv[ga[e12]]]
-                y = self.pre[r]
-                if y < 0:
-                    ok = False
+                if self.pre[r] < 0:
                     break
                 self.req[f] = r
-                if forced:
-                    self.h_assign[f] = y
-                    completed.append(f)
-                    bad = False
-                    for t in self.face_tets[f]:
-                        self.tet_left[t] -= 1
-                        if self.tet_left[t] == 0 and self._tet_word(t) != 0:
-                            bad = True
-                    if bad:
-                        ok = False
-                        break
-            if ok:
-                total += self._edge_dfs(depth + 1, forced)
-            if forced:
-                for f in completed:
-                    for t in self.face_tets[f]:
-                        self.tet_left[t] += 1
-                    self.h_assign[f] = -1
+            else:
+                total += self._edge_dfs(depth + 1)
         return total
 
     def _tet_word(self, t: int) -> int:
@@ -372,7 +322,6 @@ class _Engine:
     # ----- kernel-coset counting over face colors, given all edge colors -----
 
     def _count_h(self) -> int:
-        self.h_assign = [-1] * len(self.faces)
         # faces in no tet contribute a free coset factor each
         total = len(self.ker) ** self.free_faces
         for plan in self.plans:
@@ -494,14 +443,16 @@ class _Engine:
 
 
 def invariant(cm: CrossedModule, c: OrderedComplex, *,
-              node_budget: int | None = None, threads: int = 1) -> InvariantValue:
+              node_budget: int | None = None) -> InvariantValue:
     """Optimized engine; exact same contract as brute_force_invariant.
 
-    ``threads`` is accepted for interface compatibility; the search runs
-    sequentially and the exact-integer aggregation is order-independent, so
-    the result is bit-identical for any value.
+    Assumes ``cm`` satisfies the crossed-module axioms (as every module built
+    by ``make_crossed_module`` or the file loader does): the trivial-kernel
+    rule and the kernel-coset counting rely on them, so on a module that
+    ``validate`` rejects the result need not match the oracle.
+    ``node_budget`` bounds the search nodes; past it the engine raises
+    SearchBudgetExceededError.
     """
-    del threads
     engine = _Engine(cm, c, node_budget)
     n = engine.run()
     return _result(n, cm, c)

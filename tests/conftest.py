@@ -1,4 +1,5 @@
-"""Shared test helpers: the literal per-coloring reference sum.
+"""Shared test helpers: the literal per-coloring reference sum, and a
+large ball triangulation.
 
 ``naive_statesum`` evaluates the state sum exactly as written: every
 edge/face coloring in turn, multiplying delta weights.  It is deliberately
@@ -7,9 +8,25 @@ and is only usable on tiny inputs.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
+from cmtop import fixtures
+from cmtop.moves import MoveDescriptor, apply
 from cmtop.statesum import Coloring, delta, face_holonomy, tet_obstruction
+
+
+@pytest.fixture(scope="session")
+def p14_ball():
+    """A 1206-edge ball: 300 seeded P14 moves from single_tet."""
+    rng = random.Random(0)
+    c = fixtures.single_tet()
+    for _ in range(300):
+        c = apply(c, MoveDescriptor("P14", rng.randrange(len(c.tets))))
+    assert c.counts.as_tuple() == (304, 1206, 1804, 901)
+    return c
 
 
 def naive_statesum(cm, c) -> Fraction:

@@ -72,7 +72,7 @@ def test_act_examples():
     for y in range(4):
         assert act(cm, 0, y) == y
     # a swap automorphism really permutes the elements as the bijection says
-    swap = next(i for i in range(6) if cm.action[i, 1] == 2 and cm.action[i, 2] == 1)
+    swap = next(i for i in range(6) if cm.action[i][1] == 2 and cm.action[i][2] == 1)
     assert act(cm, swap, 3) == 3
     with pytest.raises(IndexError):
         act(cm, 6, 0)
@@ -89,6 +89,17 @@ def test_mutated_action_is_reported_with_witness():
     assert axioms & {"left-action-compose", "action-bijective", "action-multiplicative",
                      "equivariance", "left-action-identity"}
     assert all(isinstance(v.witness, tuple) for v in report)
+
+
+def test_crossed_modules_compare_and_hash_by_value():
+    a = identity_cm(build_cyclic(3))
+    b = identity_cm(build_cyclic(3))
+    assert a == b and hash(a) == hash(b)
+    assert a != identity_cm(build_cyclic(2))
+    assert len({a, b, conjugation_cm(klein_four())}) == 2
+    # an ndarray action is stored as the same tuples as a list action
+    c = CrossedModule(a.h, a.g, a.boundary, np.array(a.action), a.name)
+    assert c == a and isinstance(c.action, tuple)
 
 
 def test_kernel_helpers():
@@ -113,7 +124,7 @@ def test_nonpeiffer_example_passes_definition_but_fails_strict():
 def test_trivial_h_action_trivial_everywhere():
     cm = trivial_h_cm(build_symmetric(3))
     assert cm.h.order == 1
-    assert cm.action.shape == (6, 1)
+    assert cm.action == ((0,),) * 6
     assert validate(cm, strict_peiffer=True) == []
 
 
@@ -122,7 +133,7 @@ def _mutations(cm):
     for x in range(cm.g.order):
         for y in range(cm.h.order):
             for v in range(cm.h.order):
-                if v != cm.action[x, y]:
+                if v != cm.action[x][y]:
                     action = np.array(cm.action)
                     action[x, y] = v
                     yield CrossedModule(cm.h, cm.g, cm.boundary, action, "mut")
@@ -166,7 +177,7 @@ def test_random_mutation_fuzz_larger_groups():
         x = rng.randrange(cm.g.order)
         y = rng.randrange(cm.h.order)
         v = rng.randrange(cm.h.order)
-        if v == cm.action[x, y]:
+        if v == cm.action[x][y]:
             continue
         action = np.array(cm.action)
         action[x, y] = v

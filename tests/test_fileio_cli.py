@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmtop
 from cmtop import fixtures
 from cmtop.cli import main
 from cmtop.complexes import are_isomorphic
@@ -26,7 +31,7 @@ def test_group_round_trip(tmp_path):
         path.write_text(format_group(g))
         back = load_group(path)
         assert back.order == g.order
-        assert (back.table == g.table).all()
+        assert back.table == g.table
 
 
 def test_group_parse_rejects_bad_files():
@@ -49,7 +54,7 @@ def test_crossed_module_round_trip(tmp_path):
         assert back.h.order == cm.h.order
         assert back.g.order == cm.g.order
         assert back.boundary.map == cm.boundary.map
-        assert (back.action == cm.action).all()
+        assert back.action == cm.action
 
 
 def test_crossed_module_group_by_file(tmp_path):
@@ -199,3 +204,42 @@ def test_cli_deterministic_output(capsys):
                      "--threads", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == out[1]
+
+
+def test_cli_fast_engine_budget_is_a_clean_error(capsys):
+    # N = 2^38 here, so no per-coloring search finishes; --budget bounds it
+    assert main(["invariant", "--complex", "s2_interval_big", "--cm", "z4_to_z2",
+                 "--budget", "100000"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_large_complex_is_a_clean_error(tmp_path, capsys, p14_ball):
+    # the recursive search reaches Python's recursion limit on this ball
+    # after about 1000 nodes, well inside the budget
+    path = tmp_path / "ball.tri"
+    path.write_text(format_complex(p14_ball))
+    assert main(["invariant", "--complex", str(path), "--cm", "trivh_z2",
+                 "--budget", "100000"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_numpy_is_imported_only_by_the_brute_oracle():
+    script = """
+import sys
+import cmtop
+from cmtop import cli, fixtures, statesum
+from cmtop.crossed_modules import validate
+
+for build in fixtures.COMPLEXES.values():
+    build()
+for name in fixtures.CM_NAMES:
+    assert validate(fixtures.crossed_module(name)) == []
+assert validate(fixtures.broken_cm())
+statesum.invariant(fixtures.crossed_module("z4_to_z2"), fixtures.single_tet())
+assert cli.main(["invariant", "--complex", "solid_torus", "--cm", "id_z3"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    src = Path(cmtop.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr

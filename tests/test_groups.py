@@ -41,7 +41,7 @@ def test_cyclic_groups_satisfy_axioms(n):
 def test_cyclic_small_tables():
     assert build_cyclic(1).order == 1
     z2 = build_cyclic(2)
-    assert z2.table.tolist() == [[0, 1], [1, 0]]
+    assert z2.table == ((0, 1), (1, 0))
     z6 = build_cyclic(6)
     assert z6.inv(2) == 4  # 2+4 = 0 mod 6
 
@@ -99,8 +99,18 @@ def test_rejects_bad_tables():
 
 def test_table_is_immutable():
     z3 = build_cyclic(3)
-    with pytest.raises(ValueError):
-        z3.table[0, 0] = 1
+    with pytest.raises(TypeError):
+        z3.table[0][0] = 1
+
+
+def test_groups_compare_and_hash_by_value():
+    assert build_cyclic(4) == build_cyclic(4)
+    assert build_cyclic(4) != build_cyclic(2)
+    assert build_cyclic(4) != build_direct_product(build_cyclic(2), build_cyclic(2), "Z4")
+    assert hash(build_cyclic(2)) == hash(build_cyclic(2))
+    assert len({build_symmetric(3), build_symmetric(3), build_cyclic(6)}) == 2
+    # numpy input is normalised to the same tuples
+    assert FiniteGroup.from_table(np.array([[0, 1], [1, 0]]), "Z2") == build_cyclic(2)
 
 
 def test_aut_z2_trivial():

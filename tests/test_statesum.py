@@ -6,7 +6,7 @@ from conftest import naive_statesum
 
 from cmtop import fixtures
 from cmtop.complexes import ComplexBuilder, disjoint_union, relabel
-from cmtop.crossed_modules import make_crossed_module
+from cmtop.crossed_modules import make_crossed_module, reduction_cm
 from cmtop.groups import build_cyclic, build_trivial
 from cmtop.statesum import (
     BudgetExceededError,
@@ -190,6 +190,38 @@ def test_s2_interval_closed_form():
         assert want == Fraction(cm.h.order * len(cm.kernel_of_boundary()), cm.g.order)
         if name != "conj_z2z2":  # engine cost; the others cover it
             assert invariant(cm, c).value == want
+
+
+def _a3_in_s3():
+    """A_3 normal in S_3: inclusion boundary, conjugation action."""
+    s3 = fixtures.group("s3")
+    r = next(x for x in range(6) if s3.element_order(x) == 3)
+    emb = [0, r, s3.mul(r, r)]
+    back = {x: y for y, x in enumerate(emb)}
+    action = [[back[s3.conj(x, emb[y])] for y in range(3)] for x in range(6)]
+    return make_crossed_module(build_cyclic(3), s3, emb, action, "a3_s3",
+                               strict_peiffer=True)
+
+
+def test_injective_non_surjective_boundary():
+    # trivial kernel, im(bnd) != G and H != 1: every edge coloring whose face
+    # requirements lie in im(bnd) counts once
+    z2_in_z4 = reduction_cm(build_cyclic(2), build_cyclic(4), [0, 2], "z2_z4")
+    for cm in (_a3_in_s3(), z2_in_z4):
+        tet = fixtures.single_tet()
+        fast = invariant(cm, tet)
+        assert fast == brute_force_invariant(cm, tet)
+        assert fast.value == Fraction(cm.h.order, cm.g.order)
+        assert invariant(cm, fixtures.solid_torus()).value == 1
+    # S^2 x I: |H| |ker bnd| / |G| = 2 * 1 / 4
+    assert invariant(z2_in_z4, fixtures.s2_interval()).value == Fraction(1, 2)
+
+
+def test_bijective_boundary_on_a_large_ball(p14_ball):
+    # |G|^E with no search: the 1206 edges are far past the recursion limit
+    v = invariant(fixtures.crossed_module("id_z2"), p14_ball)
+    assert v.value == 1
+    assert v.admissible_count == 2**1206
 
 
 def test_engine_equivalence_doubly_occupied_slots():
