@@ -299,33 +299,29 @@ def validate_manifold_basics(c: OrderedComplex) -> list[str]:
 
 def _simplicial_edge_link_report(c: OrderedComplex) -> list[str]:
     report = []
-    boundary_faces = set(c.boundary_face_indices())
-    for e in range(len(c.edges)):
-        incident = [(t, slot) for t in range(len(c.tets))
-                    for slot, f in enumerate(c.tets[t])
-                    if e in c.faces[f]]
-        tets_at_e = sorted({t for t, _ in incident})
-        if not tets_at_e:
+    # faces around each edge that lie in some tet; each tet around an edge
+    # has exactly two of them, so the tets around it come from incidence
+    faces_at: list[list[int]] = [[] for _ in c.edges]
+    for f, slots in enumerate(c.faces):
+        if c.face_incidence[f]:
+            for e in dict.fromkeys(slots):
+                faces_at[e].append(f)
+    for e, faces_at_e in enumerate(faces_at):
+        if not faces_at_e:
             continue
-        # faces around the edge; each incident tet contributes exactly two
-        faces_at_e = sorted({f for t in tets_at_e for f in c.tets[t] if e in c.faces[f]})
-        face_tets = {f: [t for t in tets_at_e if f in c.tets[t]] for f in faces_at_e}
-        bdry = [f for f in faces_at_e if f in boundary_faces]
+        face_tets = {f: {t for t, _ in c.face_incidence[f]} for f in faces_at_e}
+        tets_at_e = set().union(*face_tets.values())
+        bdry = [f for f in faces_at_e if len(c.face_incidence[f]) == 1]
         # walk the tet cycle/path around the edge
-        seen_t = set()
-        start = tets_at_e[0]
-        if bdry:
-            start = face_tets[bdry[0]][0]
+        start = min(tets_at_e)
+        seen_t = {start}
         frontier = [start]
-        seen_t.add(start)
         while frontier:
-            t = frontier.pop()
-            for f in c.tets[t]:
-                if e in c.faces[f]:
-                    for t2 in face_tets[f]:
-                        if t2 not in seen_t:
-                            seen_t.add(t2)
-                            frontier.append(t2)
+            for f in c.tets[frontier.pop()]:
+                for t2 in face_tets.get(f, ()):
+                    if t2 not in seen_t:
+                        seen_t.add(t2)
+                        frontier.append(t2)
         if len(seen_t) != len(tets_at_e):
             report.append(f"edge {e} link is disconnected")
         if len(bdry) not in (0, 2):

@@ -17,6 +17,14 @@ existing vertices and therefore require embedded configurations: the
 corner vertices involved must be pairwise distinct.  Every precondition
 failure raises MoveError with a witness.
 
+Every check happens before the build.  A move is first put together as a
+patch against its input: the simplices it drops and the ones it adds, with
+each new face and tet given the first slot order consistent with its
+edges or faces.  Only a fully assembled patch is built into a complex, so
+``enumerate_applicable`` decides each candidate without building one.
+Indices named in a MoveError refer to the input complex; simplices the
+move adds are numbered after the input's last one.
+
 New entities are appended after the surviving ones, so e.g. the edge
 created by P23 is the last edge of the result; new vertices must be larger
 than all existing ids, extending the total order.
@@ -65,19 +73,14 @@ class MoveDescriptor:
     def __post_init__(self):
         if self.kind not in MOVE_KINDS:
             raise MoveError(f"unknown move kind {self.kind!r}")
+        if not isinstance(self.target, int):
+            raise MoveError(f"move target must be an int, got {self.target!r}")
+        if not isinstance(self.new_vertex, (int, type(None))):
+            raise MoveError(f"new vertex must be an int or None, got {self.new_vertex!r}")
 
 
 def apply(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    handler = {
-        "P14": _apply_p14,
-        "P41": _apply_p41,
-        "P23": _apply_p23,
-        "P32": _apply_p32,
-        "B13": _apply_b13,
-        "B31": _apply_b31,
-        "B22": _apply_b22,
-    }[m.kind]
-    return handler(c, m)
+    return _PATCHES[m.kind](c, m).build()
 
 
 def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
@@ -100,7 +103,7 @@ def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
     out = []
     for m in candidates:
         try:
-            apply(c, m)
+            _PATCHES[kind](c, m)
         except MoveError:
             continue
         out.append(m)
@@ -111,29 +114,69 @@ def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _rebuild(c: OrderedComplex, drop_vertices=(), drop_edges=(), drop_faces=(), drop_tets=()):
-    """Copy the complex minus the dropped entities; returns the builder and
-    the old->new edge/face index maps."""
-    drop_edges = set(drop_edges)
-    drop_faces = set(drop_faces)
-    drop_tets = set(drop_tets)
-    drop_vertices = set(drop_vertices)
-    b = ComplexBuilder()
-    for v in c.vertices:
-        if v not in drop_vertices:
-            b.add_vertex(v)
-    edge_map = {}
-    for e, (t, h) in enumerate(c.edges):
-        if e not in drop_edges:
-            edge_map[e] = b.add_edge(t, h)
-    face_map = {}
-    for f, (e01, e02, e12) in enumerate(c.faces):
-        if f not in drop_faces:
-            face_map[f] = b.add_face(edge_map[e01], edge_map[e02], edge_map[e12])
-    for t, slots in enumerate(c.tets):
-        if t not in drop_tets:
-            b.add_tet(*(face_map[s] for s in slots))
-    return b, edge_map, face_map
+class _Patch:
+    """A move put together against its input complex: what it drops and
+    what it adds.  New edges, faces and tets are numbered after the input's
+    last one, so input indices stay valid until ``build`` renumbers."""
+
+    def __init__(self, c: OrderedComplex, vertices=(), edges=(), faces=(), tets=()):
+        self.c = c
+        self.drop = (set(vertices), set(edges), set(faces), set(tets))
+        self.edges: list[tuple[int, int]] = []
+        self.faces: list[tuple[int, int, int]] = []
+        self.tets: list[tuple[int, int, int, int]] = []
+
+    def add_edge(self, tail: int, head: int) -> int:
+        self.edges.append((tail, head))
+        return len(self.c.edges) + len(self.edges) - 1
+
+    def add_face(self, *candidates: int) -> int:
+        """Add a face on three edges in the first endpoint-consistent slot
+        order."""
+        n = len(self.c.edges)
+        ends = {e: self.c.edges[e] if e < n else self.edges[e - n] for e in candidates}
+        for e01, e02, e12 in itertools.permutations(candidates):
+            if (ends[e01][0] == ends[e02][0]
+                    and ends[e01][1] == ends[e12][0]
+                    and ends[e02][1] == ends[e12][1]):
+                self.faces.append((e01, e02, e12))
+                return len(self.c.faces) + len(self.faces) - 1
+        raise MoveError(f"edges {candidates} admit no consistent face ordering")
+
+    def add_tet(self, *candidates: int) -> int:
+        """Add a tet on four faces in the first edge-consistent slot order."""
+        n = len(self.c.faces)
+        faces = {f: self.c.faces[f] if f < n else self.faces[f - n] for f in candidates}
+        for f012, f013, f023, f123 in itertools.permutations(candidates):
+            if (faces[f012][0] == faces[f013][0]
+                    and faces[f012][1] == faces[f023][0]
+                    and faces[f013][1] == faces[f023][1]
+                    and faces[f012][2] == faces[f123][0]
+                    and faces[f013][2] == faces[f123][1]
+                    and faces[f023][2] == faces[f123][2]):
+                self.tets.append((f012, f013, f023, f123))
+                return len(self.c.tets) + len(self.tets) - 1
+        raise MoveError(f"faces {candidates} admit no consistent tet ordering")
+
+    def build(self) -> OrderedComplex:
+        """The surviving simplices, then the new ones, renumbered in order."""
+        c = self.c
+        drop_v, drop_e, drop_f, drop_t = self.drop
+        b = ComplexBuilder()
+        for v in c.vertices:
+            if v not in drop_v:
+                b.add_vertex(v)
+        new_e, new_f = {}, {}
+        for e, (tail, head) in enumerate(itertools.chain(c.edges, self.edges)):
+            if e not in drop_e:
+                new_e[e] = b.add_edge(tail, head)
+        for f, slots in enumerate(itertools.chain(c.faces, self.faces)):
+            if f not in drop_f:
+                new_f[f] = b.add_face(*(new_e[e] for e in slots))
+        for t, slots in enumerate(itertools.chain(c.tets, self.tets)):
+            if t not in drop_t:
+                b.add_tet(*(new_f[f] for f in slots))
+        return b.build()
 
 
 def _fresh_vertex(c: OrderedComplex, m: MoveDescriptor) -> int:
@@ -144,105 +187,10 @@ def _fresh_vertex(c: OrderedComplex, m: MoveDescriptor) -> int:
     return w
 
 
-def _face_consistent(edges, e01, e02, e12) -> bool:
-    return (edges[e01][0] == edges[e02][0]
-            and edges[e01][1] == edges[e12][0]
-            and edges[e02][1] == edges[e12][1])
-
-
-def _assemble_face(b: ComplexBuilder, candidates) -> int:
-    """Add a face from three edge entities, finding a slot order that is
-    endpoint-consistent.  Deterministic: first consistent permutation wins."""
-    edges = b._edges
-    for e01, e02, e12 in itertools.permutations(candidates):
-        if _face_consistent(edges, e01, e02, e12):
-            return b.add_face(e01, e02, e12)
-    raise MoveError(f"edges {tuple(candidates)} admit no consistent face ordering")
-
-
-def _assemble_tet(b: ComplexBuilder, candidates) -> int:
-    """Add a tet from four face entities, trying slot assignments."""
-    faces = b._faces
-    for f012, f013, f023, f123 in itertools.permutations(candidates):
-        if (faces[f012][0] == faces[f013][0]
-                and faces[f012][1] == faces[f023][0]
-                and faces[f013][1] == faces[f023][1]
-                and faces[f012][2] == faces[f123][0]
-                and faces[f013][2] == faces[f123][1]
-                and faces[f023][2] == faces[f123][2]):
-            return b.add_tet(f012, f013, f023, f123)
-    raise MoveError(f"faces {tuple(candidates)} admit no consistent tet ordering")
-
-
 _TET_EDGE_POSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _APEX_OF_SLOT = {0: 3, 1: 2, 2: 1, 3: 0}  # face slot index -> opposite corner
 _SLOT_CORNERS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
-
-def _cone_faces(b, edge_of_position_pair, ce):
-    """One new face per tet edge slot: the cone of that edge to the new
-    vertex (P14 cones all four face slots afterwards, B13 all but one)."""
-    cf = {}
-    for p, q in _TET_EDGE_POSITIONS:
-        cf[(p, q)] = b.add_face(edge_of_position_pair[(p, q)], ce[p], ce[q])
-    return cf
-
-
-# ---------------------------------------------------------------------------
-# P14 / P41
-# ---------------------------------------------------------------------------
-
-def _apply_p14(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    t = m.target
-    if not 0 <= t < len(c.tets):
-        raise MoveError(f"no tet {t}")
-    w = _fresh_vertex(c, m)
-    b, edge_map, face_map = _rebuild(c, drop_tets={t})
-    locs = c.tet_locals[t]
-    ce = [b.add_edge(locs[p], w) for p in range(4)]
-    edge_of_pair = {pq: edge_map[e] for pq, e in zip(_TET_EDGE_POSITIONS, c.tet_edge_slots(t))}
-    cf = _cone_faces(b, edge_of_pair, ce)
-    for slot, corners in enumerate(_SLOT_CORNERS):
-        p, q, r = corners
-        b.add_tet(face_map[c.tets[t][slot]], cf[(p, q)], cf[(p, r)], cf[(q, r)])
-    return b.build()
-
-
-def _star_of_vertex(c: OrderedComplex, v: int):
-    tets = [t for t in range(len(c.tets)) if v in c.tet_locals[t]]
-    edges = [e for e, (tail, head) in enumerate(c.edges) if v in (tail, head)]
-    faces = [f for f in range(len(c.faces)) if v in c.face_locals[f]]
-    return tets, edges, faces
-
-
-def _apply_p41(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    v = m.target
-    if v not in c.vertices:
-        raise MoveError(f"no vertex {v}")
-    tets, edges, faces = _star_of_vertex(c, v)
-    if len(tets) != 4 or len(edges) != 4 or len(faces) != 6:
-        raise MoveError(
-            f"vertex {v} has star ({len(tets)} tets, {len(edges)} edges, "
-            f"{len(faces)} faces); P41 needs (4, 4, 6)")
-    if any(c.is_boundary_face(f) for f in faces):
-        raise MoveError(f"vertex {v} lies on the boundary")
-    outer = []
-    for t in tets:
-        free = [f for f in c.tets[t] if v not in c.face_locals[f]]
-        if len(set(free)) != 1:
-            raise MoveError(f"tet {t} does not have a single face opposite {v}")
-        outer.append(free[0])
-    if len(set(outer)) != 4:
-        raise MoveError(f"outer faces around {v} are not distinct")
-    b, edge_map, face_map = _rebuild(
-        c, drop_vertices={v}, drop_edges=edges, drop_faces=faces, drop_tets=tets)
-    _assemble_tet(b, [face_map[f] for f in outer])
-    return b.build()
-
-
-# ---------------------------------------------------------------------------
-# P23 / P32
-# ---------------------------------------------------------------------------
 
 def _tet_face_by_vertexset(c: OrderedComplex, t: int, want: frozenset[int]) -> int:
     hits = [f for f in set(c.tets[t]) if frozenset(c.face_locals[f]) == want]
@@ -258,7 +206,101 @@ def _tet_edge_by_vertexset(c: OrderedComplex, t: int, want: frozenset[int]) -> i
     return hits.pop()
 
 
-def _apply_p23(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
+def _around_edge(c: OrderedComplex, x: int) -> tuple[list[int], list[int]]:
+    """The faces with edge x in a slot, and the tets those faces lie in.
+    A tet has x in an edge slot exactly when two of its faces do."""
+    if not 0 <= x < len(c.edges):
+        raise MoveError(f"no edge {x}")
+    faces = [f for f, slots in enumerate(c.faces) if x in slots]
+    return faces, sorted({t for f in faces for t, _ in c.face_incidence[f]})
+
+
+# ---------------------------------------------------------------------------
+# P14 / B13 and P41 / B31: coning a tet from a new vertex, and its inverse
+# ---------------------------------------------------------------------------
+
+def _cone(c: OrderedComplex, t: int, w: int, skip: int | None = None) -> _Patch:
+    """Replace tet t by the cone from new vertex w over its face slots: one
+    new edge per corner, one new face per edge slot and one new tet per face
+    slot.  B13 skips the split boundary face's slot; that face is dropped."""
+    p = _Patch(c, faces=() if skip is None else (c.tets[t][skip],), tets=(t,))
+    locs = c.tet_locals[t]
+    ce = [p.add_edge(locs[i], w) for i in range(4)]
+    cf = {(i, j): p.add_face(e, ce[i], ce[j])
+          for (i, j), e in zip(_TET_EDGE_POSITIONS, c.tet_edge_slots(t))}
+    for s, (i, j, k) in enumerate(_SLOT_CORNERS):
+        if s != skip:
+            p.add_tet(c.tets[t][s], cf[(i, j)], cf[(i, k)], cf[(j, k)])
+    return p
+
+
+def _patch_p14(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
+    t = m.target
+    if not 0 <= t < len(c.tets):
+        raise MoveError(f"no tet {t}")
+    return _cone(c, t, _fresh_vertex(c, m))
+
+
+def _patch_b13(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
+    f = m.target
+    if not 0 <= f < len(c.faces):
+        raise MoveError(f"no face {f}")
+    inc = c.face_incidence[f]
+    if len(inc) != 1:
+        raise MoveError(f"face {f} lies in {len(inc)} tet slots; B13 needs a boundary face")
+    (t, slot), = inc
+    return _cone(c, t, _fresh_vertex(c, m), skip=slot)
+
+
+def _uncone(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
+    """P41 and B31: drop the star of vertex v, a cone over the faces of
+    one tet (four tets, interior) or of one tet less its base (three tets,
+    on the boundary), and close it with that tet.  B31 first adds the base
+    face on the rim edges of the three boundary faces at v."""
+    v = m.target
+    star_tets = 4 if m.kind == "P41" else 3
+    if v not in c.vertices:
+        raise MoveError(f"no vertex {v}")
+    tets = [t for t, locs in enumerate(c.tet_locals) if v in locs]
+    edges = [e for e, ends in enumerate(c.edges) if v in ends]
+    faces = [f for f, locs in enumerate(c.face_locals) if v in locs]
+    if (len(tets), len(edges), len(faces)) != (star_tets, 4, 6):
+        raise MoveError(
+            f"vertex {v} has star ({len(tets)} tets, {len(edges)} edges, "
+            f"{len(faces)} faces); {m.kind} needs ({star_tets}, 4, 6)")
+    bdry = [f for f in faces if c.is_boundary_face(f)]
+    if star_tets == 4 and bdry:
+        raise MoveError(f"vertex {v} lies on the boundary")
+    if star_tets == 3 and len(bdry) != 3:
+        raise MoveError(f"vertex {v} lies in {len(bdry)} boundary faces; B31 needs 3")
+    # each boundary face contributes its edge not touching v
+    rim = []
+    for f in bdry:
+        free = [e for e in c.faces[f] if v not in c.edges[e]]
+        if len(set(free)) != 1:
+            raise MoveError(f"boundary face {f} at {v} has no unique rim edge")
+        rim.append(free[0])
+    if len(set(rim)) != len(rim):
+        raise MoveError(f"rim edges around {v} are not distinct")
+    outer = []
+    for t in tets:
+        free = [f for f in c.tets[t] if v not in c.face_locals[f]]
+        if len(set(free)) != 1:
+            raise MoveError(f"tet {t} does not have a single face opposite {v}")
+        outer.append(free[0])
+    if len(set(outer)) != star_tets:
+        raise MoveError(f"outer faces around {v} are not distinct")
+    p = _Patch(c, vertices=(v,), edges=edges, faces=faces, tets=tets)
+    closing = [p.add_face(*rim)] if rim else []
+    p.add_tet(*closing, *outer)
+    return p
+
+
+# ---------------------------------------------------------------------------
+# P23 / P32
+# ---------------------------------------------------------------------------
+
+def _patch_p23(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     f = m.target
     if not 0 <= f < len(c.faces):
         raise MoveError(f"no face {f}")
@@ -275,27 +317,22 @@ def _apply_p23(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
     if len(set(corners)) != 5:
         raise MoveError(f"P23 configuration at face {f} is not embedded: corners {corners}")
 
-    b, edge_map, face_map = _rebuild(c, drop_faces={f}, drop_tets={t1, t2})
-    de = b.add_edge(min(d, e), max(d, e))
+    p = _Patch(c, faces=(f,), tets=(t1, t2))
+    de = p.add_edge(min(d, e), max(d, e))
     side = {}
     for x in (a, bb, cc):
-        xd = edge_map[_tet_edge_by_vertexset(c, t1, frozenset({x, d}))]
-        xe = edge_map[_tet_edge_by_vertexset(c, t2, frozenset({x, e}))]
-        side[x] = _assemble_face(b, (xd, xe, de))
+        side[x] = p.add_face(_tet_edge_by_vertexset(c, t1, frozenset({x, d})),
+                             _tet_edge_by_vertexset(c, t2, frozenset({x, e})), de)
     for x, y in ((a, bb), (a, cc), (bb, cc)):
-        fxy_d = face_map[_tet_face_by_vertexset(c, t1, frozenset({x, y, d}))]
-        fxy_e = face_map[_tet_face_by_vertexset(c, t2, frozenset({x, y, e}))]
-        _assemble_tet(b, (fxy_d, fxy_e, side[x], side[y]))
-    return b.build()
+        p.add_tet(_tet_face_by_vertexset(c, t1, frozenset({x, y, d})),
+                  _tet_face_by_vertexset(c, t2, frozenset({x, y, e})), side[x], side[y])
+    return p
 
 
-def _apply_p32(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
+def _patch_p32(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     x = m.target
-    if not 0 <= x < len(c.edges):
-        raise MoveError(f"no edge {x}")
+    around_faces, around_tets = _around_edge(c, x)
     d, e = c.edges[x]
-    around_faces = [f for f in range(len(c.faces)) if x in c.faces[f]]
-    around_tets = [t for t in range(len(c.tets)) if x in c.tet_edge_slots(t)]
     if len(around_faces) != 3 or len(around_tets) != 3:
         raise MoveError(
             f"edge {x} has {len(around_faces)} faces and {len(around_tets)} tets "
@@ -312,6 +349,7 @@ def _apply_p32(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
     if len(set(corners)) != 5:
         raise MoveError(f"P32 configuration at edge {x} is not embedded: corners {corners}")
     aa, bb, cc = outer_corners
+    pairs = [frozenset(pr) for pr in ((aa, bb), (aa, cc), (bb, cc))]
 
     # match tets to corner pairs and collect outer faces/edges
     pair_of_tet = {}
@@ -321,8 +359,7 @@ def _apply_p32(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
         if len(vs) != 4 or len(pair) != 2 or not pair <= {aa, bb, cc}:
             raise MoveError(f"tet {t} around edge {x} is not part of a bipyramid")
         pair_of_tet[t] = pair
-    if set(pair_of_tet.values()) != {frozenset(p) for p in
-                                     ((aa, bb), (aa, cc), (bb, cc))}:
+    if set(pair_of_tet.values()) != set(pairs):
         raise MoveError(f"tets around edge {x} do not form a bipyramid")
 
     base_edges = {}
@@ -334,78 +371,11 @@ def _apply_p32(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
             outer_face[(pair, apex)] = _tet_face_by_vertexset(
                 c, t, frozenset(pair | {apex}))
 
-    b, edge_map, face_map = _rebuild(
-        c, drop_edges={x}, drop_faces=set(around_faces), drop_tets=set(around_tets))
-    base = _assemble_face(b, tuple(edge_map[base_edges[p]] for p in
-                                   (frozenset((aa, bb)), frozenset((aa, cc)),
-                                    frozenset((bb, cc)))))
+    p = _Patch(c, edges=(x,), faces=around_faces, tets=around_tets)
+    base = p.add_face(*(base_edges[pr] for pr in pairs))
     for apex in (d, e):
-        fs = [face_map[outer_face[(frozenset(pr), apex)]]
-              for pr in ((aa, bb), (aa, cc), (bb, cc))]
-        _assemble_tet(b, (base, *fs))
-    return b.build()
-
-
-# ---------------------------------------------------------------------------
-# B13 / B31
-# ---------------------------------------------------------------------------
-
-def _apply_b13(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    f = m.target
-    if not 0 <= f < len(c.faces):
-        raise MoveError(f"no face {f}")
-    inc = c.face_incidence[f]
-    if len(inc) != 1:
-        raise MoveError(f"face {f} lies in {len(inc)} tet slots; B13 needs a boundary face")
-    (t, slot) = inc[0]
-    w = _fresh_vertex(c, m)
-    b, edge_map, face_map = _rebuild(c, drop_faces={f}, drop_tets={t})
-    locs = c.tet_locals[t]
-    ce = [b.add_edge(locs[p], w) for p in range(4)]
-    edge_of_pair = {pq: edge_map[e] for pq, e in zip(_TET_EDGE_POSITIONS, c.tet_edge_slots(t))}
-    cf = _cone_faces(b, edge_of_pair, ce)
-    for s, corners in enumerate(_SLOT_CORNERS):
-        if s == slot:
-            continue  # the split face is replaced, not coned over
-        p, q, r = corners
-        b.add_tet(face_map[c.tets[t][s]], cf[(p, q)], cf[(p, r)], cf[(q, r)])
-    return b.build()
-
-
-def _apply_b31(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    v = m.target
-    if v not in c.vertices:
-        raise MoveError(f"no vertex {v}")
-    tets, edges, faces = _star_of_vertex(c, v)
-    if len(tets) != 3 or len(edges) != 4 or len(faces) != 6:
-        raise MoveError(
-            f"vertex {v} has star ({len(tets)} tets, {len(edges)} edges, "
-            f"{len(faces)} faces); B31 needs (3, 4, 6)")
-    bdry = [f for f in faces if c.is_boundary_face(f)]
-    if len(bdry) != 3:
-        raise MoveError(f"vertex {v} lies in {len(bdry)} boundary faces; B31 needs 3")
-    # each boundary face contributes its edge not touching v
-    rim = []
-    for f in bdry:
-        free = [e for e in c.faces[f] if v not in c.edges[e]]
-        if len(set(free)) != 1:
-            raise MoveError(f"boundary face {f} at {v} has no unique rim edge")
-        rim.append(free[0])
-    if len(set(rim)) != 3:
-        raise MoveError(f"rim edges around {v} are not distinct")
-    outer = []
-    for t in tets:
-        free = [f for f in c.tets[t] if v not in c.face_locals[f]]
-        if len(set(free)) != 1:
-            raise MoveError(f"tet {t} does not have a single face opposite {v}")
-        outer.append(free[0])
-    if len(set(outer)) != 3:
-        raise MoveError(f"outer faces around {v} are not distinct")
-    b, edge_map, face_map = _rebuild(
-        c, drop_vertices={v}, drop_edges=edges, drop_faces=faces, drop_tets=tets)
-    base = _assemble_face(b, tuple(edge_map[e] for e in rim))
-    _assemble_tet(b, (base, *(face_map[f] for f in outer)))
-    return b.build()
+        p.add_tet(base, *(outer_face[(pr, apex)] for pr in pairs))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +393,10 @@ def _face_corner_opposite_edge(c: OrderedComplex, f: int, e: int) -> int:
     raise MoveError(f"edge {e} is not a slot of face {f}")
 
 
-def _apply_b22(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
+def _patch_b22(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     x = m.target
-    if not 0 <= x < len(c.edges):
-        raise MoveError(f"no edge {x}")
+    around_faces, around_tets = _around_edge(c, x)
     d_tail, d_head = c.edges[x]
-    around_faces = [f for f in range(len(c.faces)) if x in c.faces[f]]
-    around_tets = [t for t in range(len(c.tets)) if x in c.tet_edge_slots(t)]
     if len(around_tets) != 2 or len(around_faces) != 3:
         raise MoveError(
             f"edge {x} has {len(around_faces)} faces and {len(around_tets)} tets; "
@@ -462,13 +429,21 @@ def _apply_b22(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
     yq = {y: _tet_edge_by_vertexset(c, t1, frozenset({y, q})) for y in (d_tail, d_head)}
     yr = {y: _tet_edge_by_vertexset(c, t2, frozenset({y, r})) for y in (d_tail, d_head)}
 
-    b, edge_map, face_map = _rebuild(
-        c, drop_edges={x}, drop_faces={f_sh, f_q, f_r}, drop_tets={t1, t2})
-    qr = b.add_edge(min(q, r), max(q, r))
-    mid = _assemble_face(b, (edge_map[pq], edge_map[pr], qr))
-    new_wing = {}
+    patch = _Patch(c, edges=(x,), faces=(f_sh, f_q, f_r), tets=(t1, t2))
+    qr = patch.add_edge(min(q, r), max(q, r))
+    mid = patch.add_face(pq, pr, qr)
+    new_wing = {y: patch.add_face(yq[y], yr[y], qr) for y in (d_tail, d_head)}
     for y in (d_tail, d_head):
-        new_wing[y] = _assemble_face(b, (edge_map[yq[y]], edge_map[yr[y]], qr))
-    for y in (d_tail, d_head):
-        _assemble_tet(b, (face_map[surv1[y]], face_map[surv2[y]], mid, new_wing[y]))
-    return b.build()
+        patch.add_tet(surv1[y], surv2[y], mid, new_wing[y])
+    return patch
+
+
+_PATCHES = {
+    "P14": _patch_p14,
+    "P41": _uncone,
+    "P23": _patch_p23,
+    "P32": _patch_p32,
+    "B13": _patch_b13,
+    "B31": _uncone,
+    "B22": _patch_b22,
+}

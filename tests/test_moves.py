@@ -1,19 +1,57 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from cmtop import fixtures
-from cmtop.complexes import are_isomorphic, validate_manifold_basics
+from cmtop.complexes import ComplexBuilder, are_isomorphic, relabel, validate_manifold_basics
 from cmtop.moves import (
     INVERSE_KIND,
     MOVE_DELTAS,
+    MOVE_KINDS,
     MoveDescriptor,
     MoveError,
     apply,
     enumerate_applicable,
 )
 
+WALK_KINDS = ("P14", "P23", "B13", "P32", "P14", "B22", "P41", "P23", "B31")
+
 
 def deltas(before, after):
     return tuple(y - x for x, y in zip(before.counts.as_tuple(), after.counts.as_tuple()))
+
+
+def delta_relabel(c, rng):
+    """A random renaming of vertex ids that keeps every slot (relabel's
+    Δ-mode), so edges may run from a larger id to a smaller one."""
+    vs = list(c.vertices)
+    return relabel(replace(c, simplicial=False), dict(zip(vs, rng.sample(vs, len(vs)))))
+
+
+def walk(name, seed, max_tets=40):
+    """The fixture, then each complex of a seeded move walk, relabelled in
+    Δ-mode after every step, until it has max_tets tets."""
+    rng = random.Random(seed)
+    c = fixtures.COMPLEXES[name]()
+    yield c
+    for step in range(4 * max_tets):
+        if len(c.tets) >= max_tets:
+            return
+        found = enumerate_applicable(c, WALK_KINDS[step % len(WALK_KINDS)])
+        if found:
+            c = delta_relabel(apply(c, rng.choice(found)), rng)
+            yield c
+
+
+def all_candidates(c, kind):
+    """Every descriptor of the kind on c, not only those enumerate offers."""
+    fresh = max(c.vertices) + 1
+    span = {"P14": range(len(c.tets)), "B13": range(len(c.faces)),
+            "P23": range(len(c.faces)), "P32": range(len(c.edges)),
+            "B22": range(len(c.edges)), "P41": c.vertices, "B31": c.vertices}[kind]
+    new_vertex = fresh if kind in ("P14", "B13") else None
+    return [MoveDescriptor(kind, x, new_vertex) for x in span]
 
 
 def test_p14_on_single_tet():
@@ -129,18 +167,45 @@ def test_move_errors_carry_witnesses():
         apply(c, MoveDescriptor("P14", 7))
     with pytest.raises(MoveError):
         MoveDescriptor("P99", 0)
+    with pytest.raises(MoveError, match="move target must be an int, got 0.0"):
+        apply(c, MoveDescriptor("P14", 0.0))
+    with pytest.raises(MoveError, match="move target must be an int, got 1.0"):
+        MoveDescriptor("P23", 1.0)
+    with pytest.raises(MoveError, match="move target must be an int, got '2'"):
+        MoveDescriptor("B22", "2")
+    with pytest.raises(MoveError, match="new vertex must be an int or None, got 5.5"):
+        apply(c, MoveDescriptor("P14", 0, 5.5))
 
 
 def test_all_outputs_keep_slot_invariants():
-    # every applicable move on every fixture yields a buildable complex
+    # on every fixture and along walks from it, enumeration offers exactly
+    # the candidates that apply, every other candidate raises MoveError, and
+    # every applied move yields a buildable complex with the right deltas
     for name in fixtures.VALID_COMPLEX_NAMES:
-        c = fixtures.COMPLEXES[name]()
-        for kind in MOVE_DELTAS:
-            for m in enumerate_applicable(c, kind):
-                out = apply(c, m)
-                assert deltas(c, out) == MOVE_DELTAS[kind], (name, m)
-                assert not any("tet slots" in line
-                               for line in validate_manifold_basics(out)), (name, m)
+        for c in walk(name, seed=len(name)):
+            for kind in MOVE_KINDS:
+                applied = []
+                for m in all_candidates(c, kind):
+                    try:
+                        out = apply(c, m)
+                    except MoveError:
+                        continue
+                    applied.append(m)
+                    assert deltas(c, out) == MOVE_DELTAS[kind], (name, m)
+                    assert not any("tet slots" in line
+                                   for line in validate_manifold_basics(out)), (name, m)
+                assert enumerate_applicable(c, kind) == applied, (name, c, kind)
+
+
+def test_enumeration_builds_nothing(monkeypatch):
+    *_, c = walk("s2_interval", seed=1)
+
+    def refuse(self):
+        raise AssertionError("enumerate_applicable built a complex")
+
+    monkeypatch.setattr(ComplexBuilder, "build", refuse)
+    found = {kind: enumerate_applicable(c, kind) for kind in MOVE_KINDS}
+    assert all(found[kind] for kind in ("P14", "P23", "P32", "B13", "B22")), found
 
 
 def test_inverse_kind_table():
