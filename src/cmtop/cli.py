@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--budget", type=int, default=None,
                      help="colorings (brute) or search nodes (fast) allowed "
                           "before exit 1 (default 1e8, env CMTOP_BUDGET)")
-    inv.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored: the engines run sequentially")
     inv.add_argument("--json", action="store_true")
     inv.set_defaults(func=_cmd_invariant)
 

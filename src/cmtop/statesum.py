@@ -21,13 +21,18 @@ rational arithmetic; both engines return that factored form.
 Two engines compute N.  ``brute_force_invariant`` enumerates the full
 coloring space |G|^|K1| * |H|^|K2| (budget-gated) and is the oracle; it is
 the only code in the package that imports numpy, lazily, to sweep the
-larger of the edge and face factors as arrays.  ``invariant`` backtracks
-over edge colors and prunes faces whose required boundary image is outside
-im(bnd).  When ker(bnd) is trivial each surviving edge coloring counts
-once; otherwise it enumerates face colors through their kernel cosets and
-resolves tet constraints by solving for the last unknown face.  It never
-enumerates the full space, is bounded by a search-node budget, and must
-agree with the oracle exactly wherever both run.
+larger of the edge and face factors as arrays.  ``invariant`` fixes the
+gauge first: the edges of a spanning forest are pinned to e (the vertex
+gauge, a factor |G| each), and under the Peiffer identity every other edge
+ranges over coset representatives of im(bnd) (the 2-gauge, a factor
+|im bnd| each).  It then searches the remaining edge colors, pruning faces
+whose required boundary image is outside im(bnd), and at each leaf counts
+face colors through their kernel cosets, solving each tet for its last
+unknown face.  One breadth-first walk over the tets plans both searches in
+linear time; both are explicit-stack loops, so no complex is too large for
+the interpreter's recursion limit.  The engine never enumerates the full
+space, is bounded by a search-node budget, and must agree with the oracle
+exactly wherever both run.
 """
 
 from __future__ import annotations
@@ -207,7 +212,7 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 
 
 # ---------------------------------------------------------------------------
-# fast engine: edge backtracking + kernel-coset counting on faces
+# fast engine: gauge-fixed edge search + kernel-coset counting on faces
 # ---------------------------------------------------------------------------
 
 class _Engine:
@@ -228,38 +233,89 @@ class _Engine:
         self.pre = pre  # one preimage per image element, -1 outside the image
         self.faces = c.faces
         self.tets = c.tets
-
-    def _plan_faces(self) -> None:
-        """Kernel-coset elimination plans, one per component of faces linked
-        through shared tets; faces in no tet are counted as free cosets."""
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
-        self.face_tets = [[] for _ in self.faces]
-        for t, slots in enumerate(self.tets):
-            for f in set(slots):
-                self.face_tets[f].append(t)
-        constrained = [f for f in range(len(self.faces)) if self.face_tets[f]]
-        self.free_faces = len(self.faces) - len(constrained)
-        self.plans = [self._component_plan(comp) for comp in self._components(constrained)]
+        self._plan()
+        self._gauge()
 
-    def _edge_order(self) -> list[int]:
-        remaining = [len(set(f)) for f in self.faces]
-        touch = [[] for _ in self.c.edges]
+    def _plan(self) -> None:
+        """One breadth-first walk over the tets of each component.
+
+        The walk lists the edges in the order it first meets them (edges in
+        no tet last) and writes one face plan per component.  At each tet it
+        branches the unassigned faces over their kernel cosets, except the
+        last one that fills a single slot: that face is forced by the tet's
+        obstruction, and a tet with no such face is checked.  So every tet is
+        forced or checked exactly once.  Ops: ("branch", f),
+        ("force", case, f, t) and ("check", 3, f123, t).
+        """
+        c = self.c
+        seen_tet = [False] * len(self.tets)
+        seen_edge = [False] * len(c.edges)
+        assigned = [False] * len(self.faces)
+        order, self.plans = [], []
+        for t0 in range(len(self.tets)):
+            if seen_tet[t0]:
+                continue
+            seen_tet[t0] = True
+            queue, ops = [t0], []
+            for t in queue:  # grows as the walk goes
+                for e in c.tet_edge_slots(t):
+                    if not seen_edge[e]:
+                        seen_edge[e] = True
+                        order.append(e)
+                slots = self.tets[t]
+                unknown = [f for f in dict.fromkeys(slots) if not assigned[f]]
+                forced = next((f for f in reversed(unknown) if slots.count(f) == 1), None)
+                for f in unknown:
+                    assigned[f] = True
+                    if f != forced:
+                        ops.append(("branch", f))
+                ops.append(("check", 3, slots[3], t) if forced is None
+                           else ("force", slots.index(forced), forced, t))
+                for f in slots:
+                    for t2, _ in c.face_incidence[f]:
+                        if not seen_tet[t2]:
+                            seen_tet[t2] = True
+                            queue.append(t2)
+            self.plans.append(ops)
+        self.edge_order = order + [e for e in range(len(c.edges)) if not seen_edge[e]]
+        self.free_faces = assigned.count(False)
+        # faces become checkable once all their edges are assigned
+        pos = {e: i for i, e in enumerate(self.edge_order)}
+        self.faces_done_at = [[] for _ in self.edge_order]
         for f, slots in enumerate(self.faces):
-            for e in set(slots):
-                touch[e].append(f)
-        unassigned = set(range(len(self.c.edges)))
-        order = []
-        while unassigned:
-            def score(e):
-                completes = sum(1 for f in touch[e] if remaining[f] == 1)
-                touches = sum(1 for f in touch[e] if remaining[f] > 0)
-                return (completes, touches, -e)
-            e = max(unassigned, key=score)
-            unassigned.discard(e)
-            order.append(e)
-            for f in touch[e]:
-                remaining[f] -= 1
-        return order
+            self.faces_done_at[max(pos[e] for e in slots)].append(f)
+
+    def _gauge(self) -> None:
+        """Fix the gauge: per-depth edge values and the factor they stand for.
+
+        The vertex gauge acts freely on the colors of a spanning forest, so
+        its edges are pinned to e at a factor |G| each.  Under the Peiffer
+        identity the 2-gauge g_e -> bnd(y) g_e maps admissible colorings to
+        admissible ones, so every other edge ranges over coset
+        representatives of S = im(bnd) at a factor |S| each; without Peiffer,
+        S = {e}.
+        """
+        g, h = self.cm.g, self.cm.h
+        act, bnd = self.act, self.bnd
+        peiffer = all(act[bnd[y]][z] == h.conj(y, z)
+                      for y in range(h.order) for z in range(h.order))
+        image = sorted(set(bnd)) if peiffer else [0]
+        reps = sorted({min(g.mul(s, x) for s in image) for x in range(g.order)})
+        root = {v: v for v in self.c.vertices}
+
+        def find(v):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        self.values, pinned = [], 0
+        for e in self.edge_order:
+            a, b = (find(v) for v in self.c.edges[e])
+            root[a] = b  # a no-op on loops and on edges closing a cycle
+            self.values.append((0,) if a != b else reps)
+            pinned += a != b
+        self.factor = g.order**pinned * len(image)**(len(self.edge_order) - pinned)
 
     def _tick(self):
         self.nodes += 1
@@ -268,56 +324,37 @@ class _Engine:
                 f"fast engine exceeded {self.node_budget} search nodes")
 
     def run(self) -> int:
-        E, F = len(self.c.edges), len(self.faces)
-        if len(self.ker) == 1:
-            # Trivial kernel: each face color is the unique preimage of its
-            # holonomy requirement, and by equivariance bnd sends every tet
-            # obstruction of such a coloring to e (it telescopes), so every
-            # edge coloring whose requirements all lie in im(bnd) counts
-            # exactly once: with no face plans every search leaf counts 1,
-            # and with im(bnd) = G no search is needed.
-            if -1 not in self.pre:
-                return self.cm.g.order**E
-            self.plans, self.free_faces = [], 0
-        else:
-            self._plan_faces()
-        self.edge_order = self._edge_order()
-        # faces become checkable once all their edges are assigned
-        self.faces_done_at = [[] for _ in self.edge_order]
-        pos = {e: i for i, e in enumerate(self.edge_order)}
-        for f, slots in enumerate(self.faces):
-            last = max(pos[e] for e in set(slots))
-            self.faces_done_at[last].append(f)
-        self.g_assign = [0] * E
-        self.req = [-1] * F
-        self.h_assign = [-1] * F
-        return self._edge_dfs(0)
-
-    def _edge_dfs(self, depth: int) -> int:
-        if depth == len(self.edge_order):
-            return self._count_h()
-        e = self.edge_order[depth]
-        mul, inv, ga = self.mul_g, self.inv_g, self.g_assign
-        total = 0
-        for val in range(self.cm.g.order):
+        """N: the gauge factor times the face counts summed over the leaves
+        of an explicit-stack search over the edge values."""
+        order, values, done_at = self.edge_order, self.values, self.faces_done_at
+        mul, inv, pre, faces = self.mul_g, self.inv_g, self.pre, self.faces
+        ga = self.g_assign = [0] * len(order)
+        req = self.req = [-1] * len(faces)
+        self.h_assign = [-1] * len(faces)
+        tried = [0] * len(order)  # values tried so far at each depth
+        total, depth = 0, 0
+        while depth >= 0:
+            if depth == len(order):
+                total += self._count_h()
+                depth -= 1
+                continue
+            i = tried[depth]
+            if i == len(values[depth]):
+                tried[depth] = 0
+                depth -= 1
+                continue
+            tried[depth] = i + 1
             self._tick()
-            ga[e] = val
-            for f in self.faces_done_at[depth]:
-                e01, e02, e12 = self.faces[f]
+            ga[order[depth]] = values[depth][i]
+            for f in done_at[depth]:
+                e01, e02, e12 = faces[f]
                 r = mul[mul[ga[e02]][inv[ga[e01]]]][inv[ga[e12]]]
-                if self.pre[r] < 0:
+                if pre[r] < 0:
                     break
-                self.req[f] = r
+                req[f] = r
             else:
-                total += self._edge_dfs(depth + 1)
-        return total
-
-    def _tet_word(self, t: int) -> int:
-        f012, f013, f023, f123 = self.tets[t]
-        ha = self.h_assign
-        g23 = self.g_assign[self.tet_e23[t]]
-        mh, ih = self.mul_h, self.inv_h
-        return mh[mh[ha[f023]][self.act[g23][ha[f012]]]][mh[ih[ha[f123]]][ih[ha[f013]]]]
+                depth += 1
+        return total * self.factor
 
     # ----- kernel-coset counting over face colors, given all edge colors -----
 
@@ -325,121 +362,56 @@ class _Engine:
         # faces in no tet contribute a free coset factor each
         total = len(self.ker) ** self.free_faces
         for plan in self.plans:
-            total *= self._exec_plan(plan, 0)
+            total *= self._exec_plan(plan)
             if total == 0:
                 return 0
         return total
 
-    def _components(self, constrained: list[int]) -> list[list[int]]:
-        seen = set()
-        comps = []
-        for f0 in constrained:
-            if f0 in seen:
-                continue
-            comp = []
-            stack = [f0]
-            seen.add(f0)
-            while stack:
-                f = stack.pop()
-                comp.append(f)
-                for t in self.face_tets[f]:
-                    for f2 in set(self.tets[t]):
-                        if f2 not in seen:
-                            seen.add(f2)
-                            stack.append(f2)
-            comps.append(comp)
-        return comps
-
-    def _component_plan(self, comp: list[int]) -> list[tuple]:
-        """Static elimination order for one constraint component.
-
-        Ops: ("branch", f) enumerates f's kernel coset; ("force", case, f, t)
-        solves tet t's obstruction for its single unassigned slot; ("check", t)
-        verifies a fully-assigned tet.  Forced tets need no check: solving
-        makes the obstruction vanish by construction.
-        """
-        comp_set = set(comp)
-        comp_tets = sorted({t for f in comp for t in self.face_tets[f]})
-        assigned: set[int] = set()
-        done: set[int] = set()
-        ops: list[tuple] = []
-        while len(assigned) < len(comp_set) or len(done) < len(comp_tets):
-            progress = False
-            for t in comp_tets:
-                if t in done:
-                    continue
-                slots = self.tets[t]
-                unk = [f for f in set(slots) if f not in assigned]
-                if not unk:
-                    ops.append(("check", t))
-                    done.add(t)
-                    progress = True
-                elif len(unk) == 1 and slots.count(unk[0]) == 1:
-                    case = slots.index(unk[0])
-                    ops.append(("force", case, unk[0], t))
-                    assigned.add(unk[0])
-                    done.add(t)
-                    progress = True
-            if progress:
-                continue
-            candidates = sorted(comp_set - assigned)
-            if not candidates:
-                continue  # loop exits via the check pass
-            # prefer a face in the tet closest to being determined
-            def urgency(f):
-                best = min(
-                    (len([x for x in set(self.tets[t]) if x not in assigned])
-                     for t in self.face_tets[f] if t not in done),
-                    default=5)
-                return (best, -len(self.face_tets[f]), f)
-            f = min(candidates, key=urgency)
-            ops.append(("branch", f))
-            assigned.add(f)
-        return ops
-
-    def _exec_plan(self, ops: list[tuple], i: int) -> int:
-        mh, ih = self.mul_h, self.inv_h
-        act = self.act
-        ha = self.h_assign
-        ga = self.g_assign
-        while i < len(ops):
-            op = ops[i]
-            kind = op[0]
-            if kind == "check":
-                if self._tet_word(op[1]) != 0:
-                    return 0
-            elif kind == "force":
-                _, case, u, t = op
+    def _exec_plan(self, ops: list[tuple]) -> int:
+        """Completions of one face plan, by an explicit-stack search over
+        the kernel values of its branch ops."""
+        mh, ih, act = self.mul_h, self.inv_h, self.act
+        ha, ga, ker, req = self.h_assign, self.g_assign, self.ker, self.req
+        tried = [0] * len(ops)
+        branches = []  # indices of the open branch ops, innermost last
+        count, i = 0, 0
+        while True:
+            if i == len(ops):
+                count += 1
+            elif ops[i][0] == "branch":
+                branches.append(i)
+            else:
+                kind, case, u, t = ops[i]
                 f012, f013, f023, f123 = self.tets[t]
                 g23 = ga[self.tet_e23[t]]
+                # the value of slot `case` that makes the obstruction vanish
                 if case == 2:
                     # x * (g|>h012) * h123^-1 * h013^-1 = e
-                    rest = mh[act[g23][ha[f012]]][mh[ih[ha[f123]]][ih[ha[f013]]]]
-                    y = ih[rest]
+                    y = ih[mh[act[g23][ha[f012]]][mh[ih[ha[f123]]][ih[ha[f013]]]]]
                 elif case == 0:
                     # h023 * (g|>x) * h123^-1 * h013^-1 = e
-                    target = mh[mh[ih[ha[f023]]][ha[f013]]][ha[f123]]
-                    y = act[self.inv_g[g23]][target]
+                    y = act[self.inv_g[g23]][mh[mh[ih[ha[f023]]][ha[f013]]][ha[f123]]]
                 elif case == 3:
                     # x = h013^-1 * h023 * (g|>h012)
                     y = mh[mh[ih[ha[f013]]][ha[f023]]][act[g23][ha[f012]]]
                 else:
                     # case 1: x = h023 * (g|>h012) * h123^-1
                     y = mh[mh[ha[f023]][act[g23][ha[f012]]]][ih[ha[f123]]]
-                if self.bnd[y] != self.req[u]:
-                    return 0
-                ha[u] = y
-            else:  # branch
-                f = op[1]
-                base = self.pre[self.req[f]]
-                total = 0
-                for k in self.ker:
-                    self._tick()
-                    ha[f] = mh[base][k]
-                    total += self._exec_plan(ops, i + 1)
-                return total
-            i += 1
-        return 1
+                if (y == ha[u]) if kind == "check" else (self.bnd[y] == req[u]):
+                    ha[u] = y
+                    i += 1
+                    continue
+            # move the innermost open branch to its next kernel value
+            while branches and tried[branches[-1]] == len(ker):
+                tried[branches.pop()] = 0
+            if not branches:
+                return count
+            j = branches[-1]
+            self._tick()
+            f = ops[j][1]
+            ha[f] = mh[self.pre[req[f]]][ker[tried[j]]]
+            tried[j] += 1
+            i = j + 1
 
 
 def invariant(cm: CrossedModule, c: OrderedComplex, *,
@@ -447,9 +419,13 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     """Optimized engine; exact same contract as brute_force_invariant.
 
     Assumes ``cm`` satisfies the crossed-module axioms (as every module built
-    by ``make_crossed_module`` or the file loader does): the trivial-kernel
-    rule and the kernel-coset counting rely on them, so on a module that
-    ``validate`` rejects the result need not match the oracle.
+    by ``make_crossed_module`` or the file loader does): the gauge fixing
+    and the kernel-coset counting rely on them, so on a module that
+    ``validate`` rejects the result need not match the oracle.  The Peiffer
+    identity is not assumed; the engine checks it and uses the 2-gauge only
+    when it holds.  Without it Z is still computed exactly, but it is not a
+    triangulation invariant: for Z/4 -> Z/2 with the negation action, S^3
+    gives 3/2 as the boundary of the 4-simplex and 2 after one P41 move.
     ``node_budget`` bounds the search nodes; past it the engine raises
     SearchBudgetExceededError.
     """

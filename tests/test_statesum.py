@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ from conftest import naive_statesum
 
 from cmtop import fixtures
 from cmtop.complexes import ComplexBuilder, disjoint_union, relabel
-from cmtop.crossed_modules import make_crossed_module, reduction_cm
-from cmtop.groups import build_cyclic, build_trivial
+from cmtop.crossed_modules import make_crossed_module, reduction_cm, validate
+from cmtop.groups import build_cyclic, build_symmetric, build_trivial
 from cmtop.statesum import (
     BudgetExceededError,
     Coloring,
@@ -188,8 +190,10 @@ def test_s2_interval_closed_form():
         cm = fixtures.crossed_module(name)
         want = _sphere_interval_double_sum(cm)
         assert want == Fraction(cm.h.order * len(cm.kernel_of_boundary()), cm.g.order)
-        if name != "conj_z2z2":  # engine cost; the others cover it
-            assert invariant(cm, c).value == want
+        assert invariant(cm, c).value == want
+    # conj_z2z2: |H| |ker| / |G| = 4*4/6, from N = 509 607 936 colorings
+    v = invariant(fixtures.crossed_module("conj_z2z2"), c)
+    assert (v.value, v.admissible_count) == (Fraction(8, 3), 509_607_936)
 
 
 def _a3_in_s3():
@@ -217,11 +221,17 @@ def test_injective_non_surjective_boundary():
     assert invariant(z2_in_z4, fixtures.s2_interval()).value == Fraction(1, 2)
 
 
-def test_bijective_boundary_on_a_large_ball(p14_ball):
-    # |G|^E with no search: the 1206 edges are far past the recursion limit
+def test_large_ball_gives_the_ball_value(p14_ball):
+    # 1206 edges, far past Python's recursion limit: the searches are
+    # iterative, and the gauge-fixed edge search stays linear in the ball
     v = invariant(fixtures.crossed_module("id_z2"), p14_ball)
     assert v.value == 1
     assert v.admissible_count == 2**1206
+    for name in ("id_s3", "trivh_z2", "trivh_s3"):
+        cm = fixtures.crossed_module(name)
+        start = time.perf_counter()
+        assert invariant(cm, p14_ball).value == Fraction(cm.h.order, cm.g.order)
+        assert time.perf_counter() - start < 1.0, name
 
 
 def test_engine_equivalence_doubly_occupied_slots():
@@ -324,6 +334,9 @@ def test_s2_interval_big_cross_check():
     big = fixtures.s2_interval_big()
     assert invariant(fixtures.crossed_module("id_z2"), big).value == 1
     assert invariant(fixtures.crossed_module("trivh_z2"), big).value == Fraction(1, 2)
+    assert invariant(fixtures.crossed_module("trivh_s3"), big).value == Fraction(1, 6)
+    v = invariant(fixtures.crossed_module("z4_to_z2"), big)
+    assert (v.value, v.admissible_count) == (4, 2**38)
 
 
 def test_consistency_3tet_samples():
@@ -342,22 +355,32 @@ def test_invariant_value_str():
     assert str(v) == "Z = 1/1 (N=64, a=-4, b=-2)"
 
 
-def test_noncentral_kernel_paths():
-    # H = S3 over the sign map to Z/2, acting by conjugation with a fixed
-    # transposition: valid for the definition, Peiffer fails, the kernel
-    # A_3 is not central, and the boundary is surjective.  This drives the
-    # engine's fully general branch (no forced faces, no edge pruning).
-    from cmtop.crossed_modules import make_crossed_module, validate
-    from cmtop.groups import build_cyclic, build_symmetric, build_trivial
-    from cmtop.moves import MoveDescriptor, apply
-
+def _s3_sign():
+    """H = S3 over the sign map to Z/2, acting by conjugation with a fixed
+    transposition: valid for the definition, but Peiffer fails."""
     s3 = build_symmetric(3)
-    z2 = build_cyclic(2)
-    perms = sorted(__import__("itertools").permutations(range(3)))
+    perms = sorted(itertools.permutations(range(3)))
     sign = [0 if _parity(p) else 1 for p in perms]
     t = perms.index((1, 0, 2))
     conj_t = [s3.conj(t, y) for y in range(6)]
-    cm = make_crossed_module(s3, z2, sign, [list(range(6)), conj_t], "s3_sign")
+    return make_crossed_module(s3, build_cyclic(2), sign, [list(range(6)), conj_t],
+                               "s3_sign")
+
+
+def _z4_z2_negation():
+    """Z/4 -> Z/2 with the negation action: valid, but Peiffer fails."""
+    neg = [(-y) % 4 for y in range(4)]
+    return make_crossed_module(build_cyclic(4), build_cyclic(2), [0, 1, 0, 1],
+                               [list(range(4)), neg], "z4z2_twisted")
+
+
+def test_noncentral_kernel_paths():
+    # s3_sign: the kernel A_3 is not central and the boundary is surjective.
+    # Without Peiffer the engine fixes only the vertex gauge, and the
+    # surjective boundary prunes no edge.
+    from cmtop.moves import MoveDescriptor, apply
+
+    cm = _s3_sign()
     assert validate(cm, strict_peiffer=True)  # non-Peiffer
     assert not cm.kernel_is_central()
 
@@ -372,7 +395,7 @@ def test_noncentral_kernel_paths():
     assert invariant(cm, moved).value == Fraction(6, 2)
 
     # H nonabelian over the trivial group: kernel is all of S3
-    over_trivial = make_crossed_module(s3, build_trivial(), [0] * 6,
+    over_trivial = make_crossed_module(build_symmetric(3), build_trivial(), [0] * 6,
                                        [list(range(6))], "s3_over_1")
     assert invariant(over_trivial, tet).value == 6
     assert brute_force_invariant(over_trivial, tet).value == 6
@@ -386,18 +409,13 @@ def _parity(p):
 
 def test_non_peiffer_probe():
     # definition-valid but Peiffer-violating module: the negation action on
-    # Z/4 -> Z/2.  Empirical finding, reported here: the closed forms and
-    # move invariance hold for it on every tractable check, so nothing in
-    # this suite distinguishes it from the strict version.
-    from cmtop.crossed_modules import make_crossed_module, validate
-    from cmtop.groups import build_cyclic
+    # Z/4 -> Z/2.  The closed forms and move invariance hold for it on every
+    # check below, so these checks cannot tell it from the strict version;
+    # test_non_peiffer_state_sum_is_not_move_invariant does.
     from cmtop.moves import MOVE_DELTAS, apply, enumerate_applicable
     from cmtop.statesum import SearchBudgetExceededError
 
-    z4, z2 = build_cyclic(4), build_cyclic(2)
-    neg = [(-y) % 4 for y in range(4)]
-    cm = make_crossed_module(z4, z2, [0, 1, 0, 1], [list(range(4)), neg],
-                             "z4z2_twisted")
+    cm = _z4_z2_negation()
     assert validate(cm, strict_peiffer=True)  # genuinely non-Peiffer
 
     assert invariant(cm, fixtures.single_tet()).value == 2
@@ -419,3 +437,28 @@ def test_non_peiffer_probe():
                 checked += 1
     assert checked >= 5
     print(f"\nPEIFFER PROBE: non-Peiffer module invariant on {checked} move checks")
+
+
+def test_non_peiffer_state_sum_is_not_move_invariant():
+    # Finding: without the Peiffer identity Z depends on the triangulation.
+    # On S^3 one P41 or one P32 move changes it, and the brute oracle
+    # confirms the new value on both.  The Peiffer module z4_to_z2 gives 2
+    # on all three triangulations.
+    from cmtop.moves import apply, enumerate_applicable
+
+    s3 = fixtures.s3_boundary_4simplex()
+    p41 = apply(s3, enumerate_applicable(s3, "P41")[0])
+    p32 = apply(s3, enumerate_applicable(s3, "P32")[0])
+    neg = _z4_z2_negation()
+    v = invariant(neg, s3)
+    assert (v.value, v.admissible_count) == (Fraction(3, 2), 49_152)
+    for c in (p41, p32):
+        assert invariant(neg, c) == brute_force_invariant(neg, c)
+        assert invariant(neg, c).value == 2
+    sign = _s3_sign()
+    assert invariant(sign, s3).value == 2
+    assert invariant(sign, p41) == brute_force_invariant(sign, p41)
+    assert invariant(sign, p41).value == 3
+    assert invariant(sign, p32).value == 3
+    z4_to_z2 = fixtures.crossed_module("z4_to_z2")
+    assert [invariant(z4_to_z2, c).value for c in (s3, p41, p32)] == [2, 2, 2]
