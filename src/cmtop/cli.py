@@ -58,6 +58,9 @@ def _cmd_validate_cm(args) -> int:
         return 1
     for v in peiffer:  # warning-only mode still surfaces them
         print(f"  warning: {v}")
+    if peiffer:
+        print("  warning: without the Peiffer identity the state sum Z is not a "
+              "triangulation invariant")
     print(f"OK crossed module {cm.name}: |H|={cm.h.order}, |G|={cm.g.order}, "
           f"|ker bnd|={len(cm.kernel_of_boundary())}")
     return 0

@@ -15,6 +15,7 @@ recomputed from vertex ids, so identified vertices are harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -84,6 +85,26 @@ class OrderedComplex:
             self.faces[f013][2],  # 13
             self.faces[f023][2],  # 23
         )
+
+    @cached_property
+    def edge_faces(self) -> tuple[tuple[int, ...], ...]:
+        """For each edge, the faces with it in a slot, in index order."""
+        out: list[list[int]] = [[] for _ in self.edges]
+        for f, slots in enumerate(self.faces):
+            for e in dict.fromkeys(slots):
+                out[e].append(f)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def vertex_stars(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """For each vertex, the tets, the edges and the faces it is a corner
+        of, each in index order."""
+        stars: dict[int, tuple[list[int], ...]] = {v: ([], [], []) for v in self.vertices}
+        for i, simplices in enumerate((self.tet_locals, self.edges, self.face_locals)):
+            for s, corners in enumerate(simplices):
+                for v in set(corners):
+                    stars[v][i].append(s)
+        return {v: tuple(map(tuple, star)) for v, star in stars.items()}
 
     def euler_characteristic(self) -> int:
         c = self.counts
@@ -301,12 +322,8 @@ def _simplicial_edge_link_report(c: OrderedComplex) -> list[str]:
     report = []
     # faces around each edge that lie in some tet; each tet around an edge
     # has exactly two of them, so the tets around it come from incidence
-    faces_at: list[list[int]] = [[] for _ in c.edges]
-    for f, slots in enumerate(c.faces):
-        if c.face_incidence[f]:
-            for e in dict.fromkeys(slots):
-                faces_at[e].append(f)
-    for e, faces_at_e in enumerate(faces_at):
+    for e, faces in enumerate(c.edge_faces):
+        faces_at_e = [f for f in faces if c.face_incidence[f]]
         if not faces_at_e:
             continue
         face_tets = {f: {t for t, _ in c.face_incidence[f]} for f in faces_at_e}

@@ -206,12 +206,12 @@ def _tet_edge_by_vertexset(c: OrderedComplex, t: int, want: frozenset[int]) -> i
     return hits.pop()
 
 
-def _around_edge(c: OrderedComplex, x: int) -> tuple[list[int], list[int]]:
+def _around_edge(c: OrderedComplex, x: int) -> tuple[tuple[int, ...], list[int]]:
     """The faces with edge x in a slot, and the tets those faces lie in.
     A tet has x in an edge slot exactly when two of its faces do."""
     if not 0 <= x < len(c.edges):
         raise MoveError(f"no edge {x}")
-    faces = [f for f, slots in enumerate(c.faces) if x in slots]
+    faces = c.edge_faces[x]
     return faces, sorted({t for f in faces for t, _ in c.face_incidence[f]})
 
 
@@ -259,11 +259,9 @@ def _uncone(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     face on the rim edges of the three boundary faces at v."""
     v = m.target
     star_tets = 4 if m.kind == "P41" else 3
-    if v not in c.vertices:
+    if v not in c.vertex_stars:
         raise MoveError(f"no vertex {v}")
-    tets = [t for t, locs in enumerate(c.tet_locals) if v in locs]
-    edges = [e for e, ends in enumerate(c.edges) if v in ends]
-    faces = [f for f, locs in enumerate(c.face_locals) if v in locs]
+    tets, edges, faces = c.vertex_stars[v]
     if (len(tets), len(edges), len(faces)) != (star_tets, 4, 6):
         raise MoveError(
             f"vertex {v} has star ({len(tets)} tets, {len(edges)} edges, "

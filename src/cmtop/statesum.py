@@ -26,11 +26,18 @@ gauge first: the edges of a spanning forest are pinned to e (the vertex
 gauge, a factor |G| each), and under the Peiffer identity every other edge
 ranges over coset representatives of im(bnd) (the 2-gauge, a factor
 |im bnd| each).  It then searches the remaining edge colors, pruning faces
-whose required boundary image is outside im(bnd), and at each leaf counts
-face colors through their kernel cosets, solving each tet for its last
-unknown face.  One breadth-first walk over the tets plans both searches in
-linear time; both are explicit-stack loops, so no complex is too large for
-the interpreter's recursion limit.  The engine never enumerates the full
+whose required boundary image is outside im(bnd).  At each leaf every face
+color is h_f = b_f * k_f, a fixed preimage b_f of the face's requirement
+times an element k_f of A = ker(bnd).  When A is central in H the tet
+obstructions are affine in the k_f, so the face colors are the solutions
+of one linear system over the abelian group A, twisted by the G-action:
+none, or as many as the homogeneous system has, counted by elimination mod
+the exponent of A (Gaussian elimination over F_p when A is elementary
+abelian).  Only a non-central A is searched, one kernel coset per face,
+solving each tet for its last unknown face.  One breadth-first walk over
+the tets plans the edge search and the face count in linear time; the
+searches are explicit-stack loops, so no complex is too large for the
+interpreter's recursion limit.  The engine never enumerates the full
 space, is bounded by a search-node budget, and must agree with the oracle
 exactly wherever both run.
 """
@@ -38,6 +45,7 @@ exactly wherever both run.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,7 +220,7 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 
 
 # ---------------------------------------------------------------------------
-# fast engine: gauge-fixed edge search + kernel-coset counting on faces
+# fast engine: gauge-fixed edge search + linear counting on faces
 # ---------------------------------------------------------------------------
 
 class _Engine:
@@ -234,6 +242,9 @@ class _Engine:
         self.faces = c.faces
         self.tets = c.tets
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
+        self.central = cm.kernel_is_central()
+        if self.central:
+            self._coordinates()
         self._plan()
         self._gauge()
 
@@ -242,8 +253,8 @@ class _Engine:
 
         The walk lists the edges in the order it first meets them (edges in
         no tet last) and writes one face plan per component.  At each tet it
-        branches the unassigned faces over their kernel cosets, except the
-        last one that fills a single slot: that face is forced by the tet's
+        gives the unassigned faces a free kernel value each, except the last
+        one that fills a single slot: that face is forced by the tet's
         obstruction, and a tet with no such face is checked.  So every tet is
         forced or checked exactly once.  Ops: ("branch", f),
         ("force", case, f, t) and ("check", 3, f123, t).
@@ -356,20 +367,108 @@ class _Engine:
                 depth += 1
         return total * self.factor
 
-    # ----- kernel-coset counting over face colors, given all edge colors -----
+    # ----- face colors, given all edge colors -----
 
     def _count_h(self) -> int:
-        # faces in no tet contribute a free coset factor each
+        if len(self.ker) == 1:
+            return 1  # every w_t(b) lies in A = {e}: each leaf counts once
+        # faces in no tet contribute a free kernel factor each
         total = len(self.ker) ** self.free_faces
         for plan in self.plans:
-            total *= self._exec_plan(plan)
+            total *= self._solve_plan(plan) if self.central else self._exec_plan(plan)
             if total == 0:
                 return 0
         return total
 
+    def _coordinates(self) -> None:
+        """Write A = ker(bnd), abelian here, as Z^r modulo a relation lattice.
+
+        Each generator a_l is the least element outside the subgroup S of
+        the earlier ones, and m_l its order modulo S; the relations
+        m_l e_l - coord(a_l^m_l) form a triangular basis of the lattice.
+        Every element gets the exponents of its word in the generators as
+        coordinates, and g |> acts on them by the integer matrix whose
+        column l is coord(g |> a_l).  Entries live mod the exponent D of A.
+        """
+        h = self.cm.h
+        self.exponent = d = max(h.element_order(a) for a in self.ker)
+        coord, gens, self.rels = {0: ()}, [], []
+        for a in self.ker:
+            if a in coord:
+                continue
+            powers, x = [0], a
+            while x not in coord:
+                powers.append(x)
+                x = h.mul(x, a)
+            self.rels.append({q: -v % d for q, v in enumerate(coord[x]) if v}
+                             | {len(gens): len(powers)})
+            coord = {h.mul(y, p): v + (i,)
+                     for y, v in coord.items() for i, p in enumerate(powers)}
+            gens.append(a)
+        r = len(gens)
+        self.coord = coord
+        self.unit = [tuple(int(i == l) for i in range(r)) for l in range(r)]
+        self.mat = [None if all(row[a] == a for a in gens)
+                    else [[coord[row[a]][i] for a in gens] for i in range(r)]
+                    for row in self.act]  # None where g acts trivially on A
+
+    def _solve_plan(self, ops: list[tuple]) -> int:
+        """Completions of one face plan when A is central, without search.
+
+        With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
+        obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A.
+        A branch op adds an unknown x_j in A, a force op writes its face as
+        an affine expression in the unknowns, and a check op adds one
+        equation.  An expression maps each coordinate j*r + l of x_j to the
+        coordinates of its coefficient applied to a_l, and -1 to its
+        constant.  With n unknowns and m equations there are no solutions
+        or |A|^n / |A|^m * [Z^(rm) : L] of them, where the lattice L is
+        spanned by the equations' columns and the relations of each of the
+        m copies of A; there are some exactly when the constants lie in L.
+        """
+        mh, ih, act, pre, req = self.mul_h, self.inv_h, self.act, self.pre, self.req
+        ga, coord, mat, unit, d = self.g_assign, self.coord, self.mat, self.unit, self.exponent
+        r = len(unit)
+        expr, rows, n = {}, [], 0
+        for op in ops:
+            if op[0] == "branch":
+                expr[op[1]] = {n * r + l: unit[l] for l in range(r)}
+                n += 1
+                continue
+            kind, case, u, t = op
+            slots = self.tets[t]
+            g23 = ga[self.tet_e23[t]]
+            b012, b013, b023, b123 = (pre[req[f]] for f in slots)
+            acc = {-1: coord[mh[mh[b023][act[g23][b012]]][mh[ih[b123]][ih[b013]]]]}
+            for s, f in enumerate(slots):
+                if kind == "check" or s != case:
+                    _add(acc, expr[f], mat[g23] if s == 0 else None, 1 if s in (0, 2) else -1, d)
+            if kind == "check":
+                rows.append(acc)
+            else:  # solve coefficient * k_u = -acc
+                expr[u] = _add({}, acc, mat[self.inv_g[g23]] if case == 0 else None,
+                               -1 if case in (0, 2) else 1, d)
+        m = len(rows)
+        basis = {i * r + l: {i * r + q: x for q, x in rel.items()}
+                 for i in range(m) for l, rel in enumerate(self.rels)}
+        cols = {}
+        for i, row in enumerate(rows):
+            for key, v in row.items():
+                col = cols.setdefault(key, {})
+                for q, x in enumerate(v):
+                    if x:
+                        col[i * r + q] = x
+        constants = cols.pop(-1, {})
+        for col in cols.values():
+            _reduce(basis, col, d, insert=True)
+        if not _reduce(basis, constants, d, insert=False):
+            return 0
+        size = len(self.ker)
+        return size**n * math.prod(b[k] for k, b in basis.items()) // size**m
+
     def _exec_plan(self, ops: list[tuple]) -> int:
-        """Completions of one face plan, by an explicit-stack search over
-        the kernel values of its branch ops."""
+        """Completions of one face plan when A is not central, by an
+        explicit-stack search over the kernel values of its branch ops."""
         mh, ih, act = self.mul_h, self.inv_h, self.act
         ha, ga, ker, req = self.h_assign, self.g_assign, self.ker, self.req
         tried = [0] * len(ops)
@@ -414,19 +513,76 @@ class _Engine:
             i = j + 1
 
 
+def _add(acc: dict, e: dict, m, sign: int, d: int) -> dict:
+    """acc += sign * m(e) for affine expressions over A, mod d; m is an
+    integer matrix, or None for the identity."""
+    for key, v in e.items():
+        if m is not None:
+            v = tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+        old = acc.get(key)
+        v = tuple((o + sign * x) % d for o, x in zip(old, v)) if old else \
+            tuple(sign * x % d for x in v)
+        if any(v):
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _combine(s: int, a: dict, t: int, b: dict, d: int) -> dict:
+    """s*a + t*b for sparse integer vectors, mod d."""
+    out = {}
+    for key in a.keys() | b.keys():
+        x = (s * a.get(key, 0) + t * b.get(key, 0)) % d
+        if x:
+            out[key] = x
+    return out
+
+
+def _reduce(basis: dict, v: dict, d: int, insert: bool) -> bool:
+    """Reduce v against a triangular lattice basis (basis[k] has its last
+    nonzero coordinate k, a divisor of d) that contains d*Z^N, so entries
+    live mod d.  With ``insert`` fold v into the basis by unimodular steps,
+    else say whether v lies in the lattice."""
+    while v:
+        k = max(v)
+        b = basis[k]
+        p, x = b[k], v[k]
+        g, s, t = _xgcd(p, x)
+        if g != p:
+            if not insert:
+                return False
+            basis[k] = _combine(s, b, t, v, d)  # its entry k is g < d
+        v = _combine(x // g, b, -(p // g), v, d)  # its entry k is 0
+    return True
+
+
 def invariant(cm: CrossedModule, c: OrderedComplex, *,
               node_budget: int | None = None) -> InvariantValue:
     """Optimized engine; exact same contract as brute_force_invariant.
 
     Assumes ``cm`` satisfies the crossed-module axioms (as every module built
     by ``make_crossed_module`` or the file loader does): the gauge fixing
-    and the kernel-coset counting rely on them, so on a module that
-    ``validate`` rejects the result need not match the oracle.  The Peiffer
-    identity is not assumed; the engine checks it and uses the 2-gauge only
-    when it holds.  Without it Z is still computed exactly, but it is not a
-    triangulation invariant: for Z/4 -> Z/2 with the negation action, S^3
-    gives 3/2 as the boundary of the 4-simplex and 2 after one P41 move.
-    ``node_budget`` bounds the search nodes; past it the engine raises
+    and the face counting rely on them, so on a module that ``validate``
+    rejects the result need not match the oracle.  Face colors are counted
+    by linear algebra over ker(bnd) when it is central in H, and searched
+    one kernel coset at a time otherwise.  The Peiffer identity is not
+    assumed; the engine checks it and uses the 2-gauge only when it holds.
+    Without it Z is still computed exactly, but it is not a triangulation
+    invariant: for Z/4 -> Z/2 with the negation action, S^3 gives 3/2 as
+    the boundary of the 4-simplex and 2 after one P41 move.
+    ``node_budget`` bounds the search nodes (edge values tried, plus kernel
+    cosets tried when ker(bnd) is not central); past it the engine raises
     SearchBudgetExceededError.
     """
     engine = _Engine(cm, c, node_budget)

@@ -10,6 +10,7 @@ import cmtop
 from cmtop import fixtures
 from cmtop.cli import main
 from cmtop.complexes import are_isomorphic
+from cmtop.crossed_modules import make_crossed_module
 from cmtop.fileio import (
     FormatError,
     format_complex,
@@ -22,6 +23,7 @@ from cmtop.fileio import (
     parse_crossed_module,
     parse_group,
 )
+from cmtop.groups import build_cyclic
 
 
 def test_group_round_trip(tmp_path):
@@ -148,6 +150,25 @@ def test_cli_validate_cm_rejects_broken(tmp_path, capsys):
     assert "INVALID" in out
 
 
+def test_cli_validate_cm_no_peiffer_warns_that_z_is_not_invariant(tmp_path, capsys):
+    # Z/4 -> Z/2 with the negation action: valid, but Peiffer fails
+    cm = make_crossed_module(build_cyclic(4), build_cyclic(2), [0, 1, 0, 1],
+                             [[0, 1, 2, 3], [0, 3, 2, 1]], "z4z2_twisted")
+    path = tmp_path / "twisted.cmod"
+    path.write_text(format_crossed_module(cm))
+    assert main(["validate-cm", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["validate-cm", str(path), "--no-peiffer"]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines() if "warning:" in line]
+    assert warnings[-1] == ("  warning: without the Peiffer identity the state sum Z "
+                            "is not a triangulation invariant")
+    assert all("peiffer at" in line for line in warnings[:-1]) and len(warnings) > 1
+    # a Peiffer module prints no warning
+    path.write_text(format_crossed_module(fixtures.crossed_module("z4_to_z2")))
+    assert main(["validate-cm", str(path), "--no-peiffer"]) == 0
+    assert "warning:" not in capsys.readouterr().out
+
+
 def test_cli_validate_complex(tmp_path, capsys):
     assert main(["validate-complex", "single_tet"]) == 0
     bad = tmp_path / "bad.tri"
@@ -206,9 +227,9 @@ def test_cli_deterministic_output(capsys):
 
 
 def test_cli_fast_engine_budget_is_a_clean_error(capsys):
-    # this pair needs more than 500 000 search nodes; --budget bounds it
+    # this pair needs 37 search nodes; a --budget below that stops it
     assert main(["invariant", "--complex", "s2_interval_big", "--cm", "conj_z3",
-                 "--budget", "100000"]) == 1
+                 "--budget", "10"]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -226,7 +247,8 @@ def test_numpy_is_imported_only_by_the_brute_oracle():
 import sys
 import cmtop
 from cmtop import cli, fixtures, statesum
-from cmtop.crossed_modules import validate
+from cmtop.crossed_modules import reduction_cm, validate
+from cmtop.groups import build_cyclic
 
 for build in fixtures.COMPLEXES.values():
     build()
@@ -234,6 +256,10 @@ for name in fixtures.CM_NAMES:
     assert validate(fixtures.crossed_module(name)) == []
 assert validate(fixtures.broken_cm())
 statesum.invariant(fixtures.crossed_module("z4_to_z2"), fixtures.single_tet())
+# central kernels: Z/3 under a non-trivial action, and Z/4 counted mod 4
+statesum.invariant(fixtures.crossed_module("conj_z3"), fixtures.s2_interval_big())
+z8_to_z2 = reduction_cm(build_cyclic(8), build_cyclic(2), [y % 2 for y in range(8)])
+statesum.invariant(z8_to_z2, fixtures.s3_boundary_4simplex())
 assert cli.main(["invariant", "--complex", "solid_torus", "--cm", "id_z3"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
