@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.FormatError, FileNotFoundError) as exc:
+    except (fileio.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (moves.MoveError, statesum.BudgetExceededError,

@@ -113,7 +113,7 @@ def parse_crossed_module(text: str, source: str = "<cmod>", base_dir: str | Path
     groups: dict[str, FiniteGroup] = {}
     delta: list[int] | None = None
     action_rows: list[list[int]] = []
-    mode = None  # None | ("inline", key, order, rows) | "action"
+    mode = None  # None | ("inline", key, order, rows, name, lineno) | "action"
     for lineno, tokens in _lines(text):
         if isinstance(mode, tuple):
             key, order, rows = mode[1], mode[2], mode[3]
@@ -137,10 +137,15 @@ def parse_crossed_module(text: str, source: str = "<cmod>", base_dir: str | Path
             continue
         if tokens[0] in ("group_h", "group_g"):
             key = tokens[0][-1]
-            if len(tokens) >= 2 and tokens[1] == "file":
-                groups[key] = load_group(Path(base_dir) / tokens[2])
+            if len(tokens) >= 3 and tokens[1] == "file":
+                try:
+                    groups[key] = load_group(Path(base_dir) / tokens[2])
+                except OSError as exc:
+                    _fail(source, lineno, f"cannot read {tokens[2]!r}: {exc.strerror}")
             elif len(tokens) >= 4 and tokens[1] == "inline":
-                mode = ("inline", key, int(tokens[3]), [], tokens[2])
+                if not tokens[3].isdecimal() or int(tokens[3]) == 0:
+                    _fail(source, lineno, f"order {tokens[3]!r} is not a positive integer")
+                mode = ("inline", key, int(tokens[3]), [], tokens[2], lineno)
             else:
                 _fail(source, lineno, f"expected '{tokens[0]} file <path>' or "
                                       f"'{tokens[0]} inline <name> <order>'")
@@ -153,6 +158,9 @@ def parse_crossed_module(text: str, source: str = "<cmod>", base_dir: str | Path
             mode = "action"
         else:
             _fail(source, lineno, f"unexpected directive {tokens[0]!r}")
+    if isinstance(mode, tuple):
+        _fail(source, mode[5], f"group_{mode[1]} table ends after {len(mode[3])} "
+                               f"of {mode[2]} rows")
     for key in ("h", "g"):
         if key not in groups:
             _fail(source, 0, f"missing group_{key}")

@@ -31,21 +31,21 @@ color is h_f = b_f * k_f, a fixed preimage b_f of the face's requirement
 times an element k_f of A = ker(bnd).  When A is central in H the tet
 obstructions are affine in the k_f, so the face colors are the solutions
 of one linear system over the abelian group A, twisted by the G-action:
-none, or as many as the homogeneous system has, counted by elimination mod
-the exponent of A (Gaussian elimination over F_p when A is elementary
+one equation per tet, one unknown per face.  It has none, or as many
+solutions as the homogeneous system has, counted by elimination mod the
+exponent of A (Gaussian elimination over F_p when A is elementary
 abelian).  Only a non-central A is searched, one kernel coset per face,
 solving each tet for its last unknown face.  One breadth-first walk over
-the tets plans the edge search and the face count in linear time; the
-searches are explicit-stack loops, so no complex is too large for the
-interpreter's recursion limit.  The engine never enumerates the full
-space, is bounded by a search-node budget, and must agree with the oracle
-exactly wherever both run.
+the tets orders the edge search, the system's rows and columns and the
+coset search in linear time; the searches are explicit-stack loops, so no
+complex is too large for the interpreter's recursion limit.  The engine
+never enumerates the full space, is bounded by a search-node budget, and
+must agree with the oracle exactly wherever both run.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,27 +243,28 @@ class _Engine:
         self.tets = c.tets
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
         self.central = cm.kernel_is_central()
-        if self.central:
-            self._coordinates()
         self._plan()
+        if self.central and len(self.ker) > 1:
+            self._coordinates()
         self._gauge()
 
     def _plan(self) -> None:
         """One breadth-first walk over the tets of each component.
 
-        The walk lists the edges in the order it first meets them (edges in
-        no tet last) and writes one face plan per component.  At each tet it
-        gives the unassigned faces a free kernel value each, except the last
-        one that fills a single slot: that face is forced by the tet's
-        obstruction, and a tet with no such face is checked.  So every tet is
-        forced or checked exactly once.  Ops: ("branch", f),
+        The walk lists the tets and the edges in the order it first meets
+        them (edges in no tet last), and the faces in the order it assigns
+        them, and writes one face plan per component for the coset search:
+        at each tet it gives the unassigned faces a free kernel value each,
+        except the last one that fills a single slot: that face is forced by
+        the tet's obstruction, and a tet with no such face is checked.  So
+        every tet is forced or checked exactly once.  Ops: ("branch", f),
         ("force", case, f, t) and ("check", 3, f123, t).
         """
         c = self.c
         seen_tet = [False] * len(self.tets)
         seen_edge = [False] * len(c.edges)
         assigned = [False] * len(self.faces)
-        order, self.plans = [], []
+        order, self.plans, self.walk, self.face_order = [], [], [], []
         for t0 in range(len(self.tets)):
             if seen_tet[t0]:
                 continue
@@ -279,6 +280,7 @@ class _Engine:
                 forced = next((f for f in reversed(unknown) if slots.count(f) == 1), None)
                 for f in unknown:
                     assigned[f] = True
+                    self.face_order.append(f)
                     if f != forced:
                         ops.append(("branch", f))
                 ops.append(("check", 3, slots[3], t) if forced is None
@@ -289,6 +291,7 @@ class _Engine:
                             seen_tet[t2] = True
                             queue.append(t2)
             self.plans.append(ops)
+            self.walk += queue
         self.edge_order = order + [e for e in range(len(c.edges)) if not seen_edge[e]]
         self.free_faces = assigned.count(False)
         # faces become checkable once all their edges are assigned
@@ -372,27 +375,32 @@ class _Engine:
     def _count_h(self) -> int:
         if len(self.ker) == 1:
             return 1  # every w_t(b) lies in A = {e}: each leaf counts once
+        if self.central:
+            return self._solve()
         # faces in no tet contribute a free kernel factor each
         total = len(self.ker) ** self.free_faces
         for plan in self.plans:
-            total *= self._solve_plan(plan) if self.central else self._exec_plan(plan)
+            total *= self._exec_plan(plan)
             if total == 0:
                 return 0
         return total
 
     def _coordinates(self) -> None:
-        """Write A = ker(bnd), abelian here, as Z^r modulo a relation lattice.
+        """Write A = ker(bnd), abelian here, as Z^r modulo a relation lattice,
+        and lay out the linear system of ``_solve``.
 
         Each generator a_l is the least element outside the subgroup S of
         the earlier ones, and m_l its order modulo S; the relations
         m_l e_l - coord(a_l^m_l) form a triangular basis of the lattice.
         Every element gets the exponents of its word in the generators as
-        coordinates, and g |> acts on them by the integer matrix whose
-        column l is coord(g |> a_l).  Entries live mod the exponent D of A.
+        coordinates.  Entries live mod the exponent D of A.  The rows are the
+        tets in reverse walk order: ``_reduce`` pivots on the largest key, so
+        each face's column starts its reduction at the tet where the walk
+        assigned the face.
         """
         h = self.cm.h
         self.exponent = d = max(h.element_order(a) for a in self.ker)
-        coord, gens, self.rels = {0: ()}, [], []
+        coord, self.gens, rels = {0: ()}, [], []
         for a in self.ker:
             if a in coord:
                 continue
@@ -400,75 +408,69 @@ class _Engine:
             while x not in coord:
                 powers.append(x)
                 x = h.mul(x, a)
-            self.rels.append({q: -v % d for q, v in enumerate(coord[x]) if v}
-                             | {len(gens): len(powers)})
+            rels.append({q: -v % d for q, v in enumerate(coord[x]) if v}
+                        | {len(self.gens): len(powers)})
             coord = {h.mul(y, p): v + (i,)
                      for y, v in coord.items() for i, p in enumerate(powers)}
-            gens.append(a)
-        r = len(gens)
+            self.gens.append(a)
         self.coord = coord
-        self.unit = [tuple(int(i == l) for i in range(r)) for l in range(r)]
-        self.mat = [None if all(row[a] == a for a in gens)
-                    else [[coord[row[a]][i] for a in gens] for i in range(r)]
-                    for row in self.act]  # None where g acts trivially on A
+        self.rows = self.walk[::-1]
+        r = len(self.gens)
+        self.relations = {i * r + l: {i * r + q: x for q, x in rel.items()}
+                          for i in range(len(self.rows)) for l, rel in enumerate(rels)}
+        row = {t: i for i, t in enumerate(self.rows)}
+        # per face, in the order the walk assigns them: (row, slot is 0, sign)
+        self.columns = [[(row[t], s == 0, 1 if s in (0, 2) else -1)
+                         for t, s in self.c.face_incidence[f]] for f in self.face_order]
 
-    def _solve_plan(self, ops: list[tuple]) -> int:
-        """Completions of one face plan when A is central, without search.
+    def _solve(self) -> int:
+        """Face colorings of one leaf when A is central, without search.
 
         With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
-        obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A.
-        A branch op adds an unknown x_j in A, a force op writes its face as
-        an affine expression in the unknowns, and a check op adds one
-        equation.  An expression maps each coordinate j*r + l of x_j to the
-        coordinates of its coefficient applied to a_l, and -1 to its
-        constant.  With n unknowns and m equations there are no solutions
-        or |A|^n / |A|^m * [Z^(rm) : L] of them, where the lattice L is
-        spanned by the equations' columns and the relations of each of the
-        m copies of A; there are some exactly when the constants lie in L.
+        obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
+        equation per tet, one unknown per face.  Face f's column for a_l sums
+        g23 |> a_l over its slot-0 places, +a_l over slot 2 and -a_l over
+        slots 1 and 3.  With the relations of the T copies of A the columns
+        span a lattice L in Z^(rT), and the homogeneous map A^F -> A^T has an
+        image of order |A|^T / [Z^(rT) : L].  So there are no solutions or
+        |A|^F / |image|, some exactly when the constants coord(w_t(b)) lie
+        in L, as they do once the image is all of A^T; then no column can
+        change the count either.  A face in no tet has an empty column, so
+        its factor is |A|.
         """
         mh, ih, act, pre, req = self.mul_h, self.inv_h, self.act, self.pre, self.req
-        ga, coord, mat, unit, d = self.g_assign, self.coord, self.mat, self.unit, self.exponent
-        r = len(unit)
-        expr, rows, n = {}, [], 0
-        for op in ops:
-            if op[0] == "branch":
-                expr[op[1]] = {n * r + l: unit[l] for l in range(r)}
-                n += 1
-                continue
-            kind, case, u, t = op
-            slots = self.tets[t]
-            g23 = ga[self.tet_e23[t]]
-            b012, b013, b023, b123 = (pre[req[f]] for f in slots)
-            acc = {-1: coord[mh[mh[b023][act[g23][b012]]][mh[ih[b123]][ih[b013]]]]}
-            for s, f in enumerate(slots):
-                if kind == "check" or s != case:
-                    _add(acc, expr[f], mat[g23] if s == 0 else None, 1 if s in (0, 2) else -1, d)
-            if kind == "check":
-                rows.append(acc)
-            else:  # solve coefficient * k_u = -acc
-                expr[u] = _add({}, acc, mat[self.inv_g[g23]] if case == 0 else None,
-                               -1 if case in (0, 2) else 1, d)
-        m = len(rows)
-        basis = {i * r + l: {i * r + q: x for q, x in rel.items()}
-                 for i in range(m) for l, rel in enumerate(self.rels)}
-        cols = {}
-        for i, row in enumerate(rows):
-            for key, v in row.items():
-                col = cols.setdefault(key, {})
-                for q, x in enumerate(v):
-                    if x:
-                        col[i * r + q] = x
-        constants = cols.pop(-1, {})
-        for col in cols.values():
-            _reduce(basis, col, d, insert=True)
-        if not _reduce(basis, constants, d, insert=False):
-            return 0
-        size = len(self.ker)
-        return size**n * math.prod(b[k] for k, b in basis.items()) // size**m
+        coord, gens, d, r = self.coord, self.gens, self.exponent, len(self.gens)
+        g23 = [self.g_assign[self.tet_e23[t]] for t in self.rows]
+        basis, image, onto = dict(self.relations), 1, len(self.ker)**len(self.tets)
+        for places in self.columns:
+            if image == onto:
+                break
+            for a in gens:
+                col = {}
+                for i, slot0, sign in places:
+                    for q, x in enumerate(coord[act[g23[i]][a] if slot0 else a]):
+                        if x:
+                            col[i * r + q] = (col.get(i * r + q, 0) + sign * x) % d
+                image *= _reduce(basis, {k: x for k, x in col.items() if x}, d, insert=True)
+        if image < onto:
+            constants = {}
+            for i, t in enumerate(self.rows):
+                b012, b013, b023, b123 = (pre[req[f]] for f in self.tets[t])
+                w = coord[mh[mh[b023][act[g23[i]][b012]]][mh[ih[b123]][ih[b013]]]]
+                constants.update((i * r + q, x) for q, x in enumerate(w) if x)
+            if _reduce(basis, constants, d, insert=False) > 1:
+                return 0
+        return len(self.ker)**len(self.faces) // image
 
     def _exec_plan(self, ops: list[tuple]) -> int:
         """Completions of one face plan when A is not central, by an
-        explicit-stack search over the kernel values of its branch ops."""
+        explicit-stack search over the kernel values of its branch ops.
+
+        A forced value needs no test of its boundary.  bnd(w_t) is the
+        product of the four bnd(h_f), slot 0 conjugated by g23, and that
+        product is e when each bnd(h_f) is the face's requirement.  So with
+        three faces at their requirements and w_t = e, bnd of the forced
+        value is the fourth face's requirement."""
         mh, ih, act = self.mul_h, self.inv_h, self.act
         ha, ga, ker, req = self.h_assign, self.g_assign, self.ker, self.req
         tried = [0] * len(ops)
@@ -496,7 +498,7 @@ class _Engine:
                 else:
                     # case 1: x = h023 * (g|>h012) * h123^-1
                     y = mh[mh[ha[f023]][act[g23][ha[f012]]]][ih[ha[f123]]]
-                if (y == ha[u]) if kind == "check" else (self.bnd[y] == req[u]):
+                if kind == "force" or y == ha[u]:
                     ha[u] = y
                     i += 1
                     continue
@@ -511,22 +513,6 @@ class _Engine:
             ha[f] = mh[self.pre[req[f]]][ker[tried[j]]]
             tried[j] += 1
             i = j + 1
-
-
-def _add(acc: dict, e: dict, m, sign: int, d: int) -> dict:
-    """acc += sign * m(e) for affine expressions over A, mod d; m is an
-    integer matrix, or None for the identity."""
-    for key, v in e.items():
-        if m is not None:
-            v = tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-        old = acc.get(key)
-        v = tuple((o + sign * x) % d for o, x in zip(old, v)) if old else \
-            tuple(sign * x % d for x in v)
-        if any(v):
-            acc[key] = v
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -549,11 +535,14 @@ def _combine(s: int, a: dict, t: int, b: dict, d: int) -> dict:
     return out
 
 
-def _reduce(basis: dict, v: dict, d: int, insert: bool) -> bool:
+def _reduce(basis: dict, v: dict, d: int, insert: bool) -> int:
     """Reduce v against a triangular lattice basis (basis[k] has its last
     nonzero coordinate k, a divisor of d) that contains d*Z^N, so entries
-    live mod d.  With ``insert`` fold v into the basis by unimodular steps,
-    else say whether v lies in the lattice."""
+    live mod d.  Return 1 when v lies in the lattice.  Otherwise, with
+    ``insert``, fold v into the basis by unimodular steps and return the
+    factor by which that divides the lattice's index; without it, return
+    a number above 1 and leave the basis as it was."""
+    factor = 1
     while v:
         k = max(v)
         b = basis[k]
@@ -561,10 +550,11 @@ def _reduce(basis: dict, v: dict, d: int, insert: bool) -> bool:
         g, s, t = _xgcd(p, x)
         if g != p:
             if not insert:
-                return False
+                return p // g
             basis[k] = _combine(s, b, t, v, d)  # its entry k is g < d
+            factor *= p // g
         v = _combine(x // g, b, -(p // g), v, d)  # its entry k is 0
-    return True
+    return factor
 
 
 def invariant(cm: CrossedModule, c: OrderedComplex, *,
@@ -575,9 +565,10 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     by ``make_crossed_module`` or the file loader does): the gauge fixing
     and the face counting rely on them, so on a module that ``validate``
     rejects the result need not match the oracle.  Face colors are counted
-    by linear algebra over ker(bnd) when it is central in H, and searched
-    one kernel coset at a time otherwise.  The Peiffer identity is not
-    assumed; the engine checks it and uses the 2-gauge only when it holds.
+    by linear algebra over ker(bnd) when it is central in H, one equation
+    per tet and one unknown per face, and searched one kernel coset at a
+    time otherwise.  The Peiffer identity is not assumed; the engine
+    checks it and uses the 2-gauge only when it holds.
     Without it Z is still computed exactly, but it is not a triangulation
     invariant: for Z/4 -> Z/2 with the negation action, S^3 gives 3/2 as
     the boundary of the 4-simplex and 2 after one P41 move.

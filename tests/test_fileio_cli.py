@@ -169,6 +169,28 @@ def test_cli_validate_cm_no_peiffer_warns_that_z_is_not_invariant(tmp_path, caps
     assert "warning:" not in capsys.readouterr().out
 
 
+def test_cli_malformed_crossed_module_file_names_the_line(tmp_path, capsys):
+    good = format_crossed_module(fixtures.crossed_module("id_z2")).splitlines()
+    assert good[1] == "group_h inline Z2 2"
+    cases = [
+        (["group_h file"] + good[4:], 2, "group_h file <path>"),
+        (["group_h file ."] + good[4:], 2, "cannot read '.'"),
+        (["group_h file none.grp"] + good[4:], 2, "cannot read 'none.grp'"),
+        (["group_h inline Z2 two"] + good[2:], 2, "'two' is not a positive integer"),
+        (["group_h inline Z2 3"] + good[2:4], 2, "group_h table ends after 2 of 3 rows"),
+    ]
+    for body, lineno, message in cases:
+        path = tmp_path / "bad.cmod"
+        path.write_text("\n".join(good[:1] + body) + "\n")
+        expected = f"{path}:{lineno}: "
+        assert main(["validate-cm", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"INVALID: {expected}") and message in out, out
+        assert main(["invariant", "--complex", "single_tet", "--cm", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}") and message in err, err
+
+
 def test_cli_validate_complex(tmp_path, capsys):
     assert main(["validate-complex", "single_tet"]) == 0
     bad = tmp_path / "bad.tri"
@@ -217,6 +239,12 @@ def test_cli_unreadable_file_is_a_clean_error(tmp_path, capsys):
     missing = tmp_path / "nowhere" / "x.cmod"
     assert main(["validate-cm", str(missing)]) == 1
     assert main(["invariant", "--complex", "single_tet", "--cm", str(missing)]) == 1
+    # a directory exists but cannot be read as a file
+    for argv in (["validate-cm", str(tmp_path)], ["validate-complex", str(tmp_path)],
+                 ["invariant", "--complex", str(tmp_path), "--cm", "id_z2"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_cli_deterministic_output(capsys):

@@ -9,7 +9,7 @@ from conftest import naive_statesum
 from cmtop import fixtures
 from cmtop.complexes import ComplexBuilder, disjoint_union, relabel, validate_manifold_basics
 from cmtop.crossed_modules import make_crossed_module, reduction_cm, validate
-from cmtop.groups import build_cyclic, build_symmetric, build_trivial
+from cmtop.groups import FiniteGroup, build_cyclic, build_symmetric, build_trivial
 from cmtop.statesum import (
     BudgetExceededError,
     Coloring,
@@ -237,8 +237,9 @@ def test_large_ball_gives_the_ball_value(p14_ball):
 
 def test_engine_equivalence_doubly_occupied_slots():
     # a tet may reference the same face entity through several slots; the
-    # engines must agree there too (the fast path cannot solve such a tet
-    # for its unknown and falls back to enumeration)
+    # engines must agree there too (such a face cannot be solved for, so the
+    # coset search checks its tet, and the linear count sums its slots'
+    # coefficients into one column)
     b = ComplexBuilder()
     e_ab = b.add_edge(1, 2)
     loop = b.add_edge(2, 2)
@@ -432,13 +433,33 @@ def test_closed_two_tet_manifolds():
     assert invariant(_z4_negated_over_z2(), closed["s2_s1"]).value == 3
 
 
+def _z4_with_an_order_2_generator():
+    """Z/4 labelled so that element 1 has order 2, over the trivial group and
+    over Z/2 acting by negation.  Its kernel coordinates are a generator 1
+    of order 2 and a generator 2 of order 2 modulo <1>, so the relation
+    2 e_2 = e_1 has an off-diagonal entry."""
+    label = [0, 2, 1, 3]  # label[k] is the element standing for k in Z/4
+    unlabel = [label.index(y) for y in range(4)]
+    z4 = FiniteGroup.from_table(
+        [[label[(unlabel[a] + unlabel[b]) % 4] for b in range(4)] for a in range(4)], "z4")
+    assert z4.element_order(1) == 2
+    neg = [label[-unlabel[y] % 4] for y in range(4)]
+    return [make_crossed_module(z4, build_trivial(), [0] * 4, [list(range(4))], "z4_over_1"),
+            make_crossed_module(z4, build_cyclic(2), [0] * 4, [list(range(4)), neg],
+                                "z4_relabelled_negated", strict_peiffer=True)]
+
+
 def test_every_face_counting_path_matches_the_oracle():
     # the Z/4 kernels are counted mod 4, not over a field; the negation
     # module is non-Peiffer with a central kernel; s3_sign's kernel A_3 is
-    # not central, so it keeps the coset search
+    # not central, so it keeps the coset search.  One loop edge with two
+    # faces f = g and the tet (f, g, f, g) needs the off-diagonal relation
+    # of the relabelled Z/4: N = 8, where Z/2 x Z/2 coordinates give 16.
     complexes = {**{name: build() for name, build in fixtures.COMPLEXES.items()},
-                 **_closed_two_tet_manifolds()}
-    extra = [_z8_to_z2(), _z4_negated_over_z2(), _z4_z2_negation(), _s3_sign()]
+                 **_closed_two_tet_manifolds(),
+                 "fgfg": _delta_complex(((0, 0),), ((0, 0, 0), (0, 0, 0)), ((0, 1, 0, 1),))}
+    extra = [_z8_to_z2(), _z4_negated_over_z2(), _z4_z2_negation(), _s3_sign(),
+             *_z4_with_an_order_2_generator()]
     checked = []
     for cm in extra + fixtures.all_crossed_modules():
         for name, c in complexes.items():
@@ -450,7 +471,9 @@ def test_every_face_counting_path_matches_the_oracle():
                 continue
             assert invariant(cm, c) == slow, (cm.name, name)
             checked.append((cm.name, name))
-    assert len(checked) == 6 + 2 * 13, checked
+            if name == "fgfg" and cm in extra[-2:]:
+                assert slow.admissible_count == 8
+    assert len(checked) == 13 + 3 * 15, checked
 
 
 def test_noncentral_kernel_paths():
