@@ -22,6 +22,7 @@ from .crossed_modules import (
     conjugation_cm,
     identity_cm,
     make_crossed_module,
+    peiffer_violations,
     reduction_cm,
     trivial_h_cm,
     validate,

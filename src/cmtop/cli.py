@@ -17,43 +17,41 @@ import sys
 from pathlib import Path
 
 from . import fileio, fixtures, knot_words, moves, selftest, statesum
-from .crossed_modules import validate as validate_cm_tables
+from .crossed_modules import peiffer_violations
 from .complexes import validate_manifold_basics
 
 
-def _load_cm(spec: str, strict: bool):
+def _resolve(spec: str, load, build, names):
+    """Load the file ``spec`` if it exists, else build the fixture of that name."""
     if os.path.exists(spec):
-        return fileio.load_crossed_module(spec, strict_peiffer=strict)
-    try:
-        return fixtures.crossed_module(spec)
-    except KeyError:
+        return load(spec)
+    if spec not in names:
         raise fileio.FormatError(
             f"{spec!r} is neither a readable file nor a fixture name "
-            f"(fixtures: {', '.join(fixtures.CM_NAMES)})")
+            f"(fixtures: {', '.join(names)})")
+    return build(spec)
+
+
+def _load_cm(spec: str):
+    return _resolve(spec, fileio.load_crossed_module, fixtures.crossed_module,
+                    fixtures.CM_NAMES)
 
 
 def _load_complex(spec: str):
-    if os.path.exists(spec):
-        return fileio.load_complex(spec)
-    if spec in fixtures.COMPLEXES:
-        return fixtures.COMPLEXES[spec]()
-    raise fileio.FormatError(
-        f"{spec!r} is neither a readable file nor a fixture name "
-        f"(fixtures: {', '.join(fixtures.COMPLEXES)})")
+    return _resolve(spec, fileio.load_complex, lambda name: fixtures.COMPLEXES[name](),
+                    fixtures.COMPLEXES)
 
 
 def _cmd_validate_cm(args) -> int:
     try:
-        cm = _load_cm(args.path, strict=not args.no_peiffer)
+        cm = _load_cm(args.path)
     except fileio.FormatError as exc:
         print(f"INVALID: {exc}")
         return 1
-    report = validate_cm_tables(cm, strict_peiffer=True)
-    hard = [v for v in report if v.axiom != "peiffer"]
-    peiffer = [v for v in report if v.axiom == "peiffer"]
-    if hard or (peiffer and not args.no_peiffer):
+    peiffer = peiffer_violations(cm)
+    if peiffer and not args.no_peiffer:
         print(f"INVALID crossed module {cm.name}:")
-        for v in hard + ([] if args.no_peiffer else peiffer):
+        for v in peiffer:
             print(f"  {v}")
         return 1
     for v in peiffer:  # warning-only mode still surfaces them
@@ -87,7 +85,7 @@ def _cmd_validate_complex(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    cm = _load_cm(args.cm, strict=False)
+    cm = _load_cm(args.cm)
     c = _load_complex(args.complex)
     budget = statesum.default_budget() if args.budget is None else args.budget
     if args.engine == "brute":
@@ -137,7 +135,7 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_word(args) -> int:
-    cm = _load_cm(args.cm, strict=False)
+    cm = _load_cm(args.cm)
     if args.builtin:
         w = knot_words.BUILTIN_WORDS[args.builtin]
     elif args.word:
@@ -158,10 +156,7 @@ def _cmd_word(args) -> int:
 
 
 def _cmd_reps(args) -> int:
-    if os.path.exists(args.group):
-        g = fileio.load_group(args.group)
-    else:
-        g = fixtures.group(args.group)
+    g = _resolve(args.group, fileio.load_group, fixtures.group, fixtures.GROUPS)
     if args.builtin:
         relator = knot_words.BUILTIN_WORDS[args.builtin].without_boundary_factor()
     elif args.relator:

@@ -9,9 +9,12 @@ a left G-action on H by automorphisms, satisfying
 plus the left-action laws e ▷ y = y and (x1 x2) ▷ y = x1 ▷ (x2 ▷ y).
 The G-on-G action is conjugation by definition and is not stored.
 
-The Peiffer identity bnd(y) ▷ y' = y y' y^-1 is a separate, opt-in strict
-check: it is standard in the literature but absent from the definition this
-package follows, and some valid inputs here genuinely fail it.
+The Peiffer identity bnd(y) ▷ y' = y y' y^-1 is not part of that
+definition: it is standard in the literature, some valid inputs here fail
+it, and ``peiffer_violations`` lists where.  ``validate`` and the loaders
+check the definition only; the state-sum engine reads the Peiffer property
+to choose its gauge, and ``cmtop validate-cm`` rejects a module that lacks
+it unless given ``--no-peiffer``.
 
 The action is stored as a tuple of int tuples, like the group tables, so a
 crossed module is immutable and compares and hashes by value.
@@ -92,19 +95,17 @@ def make_crossed_module(
     boundary_images: Iterable[int],
     action: Sequence[Sequence[int]],
     name: str = "cm",
-    *,
-    strict_peiffer: bool = False,
 ) -> CrossedModule:
     """Build a crossed module and raise if any axiom fails."""
     cm = CrossedModule(h, g, GroupHom.from_map(h, g, boundary_images), action, name)
-    report = validate(cm, strict_peiffer=strict_peiffer)
+    report = validate(cm)
     if report:
         raise ValueError("invalid crossed module: " + "; ".join(map(str, report[:3])))
     return cm
 
 
-def validate(cm: CrossedModule, strict_peiffer: bool = False) -> list[Violation]:
-    """Check every axiom exhaustively; return all violations with witnesses.
+def validate(cm: CrossedModule) -> list[Violation]:
+    """Check every axiom of the definition; return all violations with witnesses.
 
     Re-checks the boundary homomorphism property too, so a boundary map
     built without ``GroupHom.from_map`` is still caught.  The action's shape
@@ -161,15 +162,16 @@ def validate(cm: CrossedModule, strict_peiffer: bool = False) -> list[Violation]
                     out.append(Violation(
                         "action-multiplicative", (x, y1, y2),
                         f"f_{x}({y1}*{y2}) != f_{x}({y1})*f_{x}({y2})"))
-
-    if strict_peiffer:
-        for y in range(h.order):
-            for y2 in range(h.order):
-                if act[bnd[y]][y2] != h.conj(y, y2):
-                    out.append(Violation(
-                        "peiffer", (y, y2),
-                        f"bnd({y}) |> {y2} = {act[bnd[y]][y2]} != {y}{y2}{y}^-1 = {h.conj(y, y2)}"))
     return out
+
+
+def peiffer_violations(cm: CrossedModule) -> list[Violation]:
+    """Every pair (y, y2) with bnd(y) |> y2 != y y2 y^-1, with its witness."""
+    h, act, bnd = cm.h, cm.action, cm.boundary.map
+    return [Violation("peiffer", (y, y2),
+                      f"bnd({y}) |> {y2} = {act[bnd[y]][y2]} != {y}{y2}{y}^-1 = {h.conj(y, y2)}")
+            for y in range(h.order) for y2 in range(h.order)
+            if act[bnd[y]][y2] != h.conj(y, y2)]
 
 
 def act(cm: CrossedModule, x: int, y: int) -> int:
@@ -185,15 +187,13 @@ def conjugation_cm(h: FiniteGroup, name: str | None = None) -> CrossedModule:
     index = {b: i for i, b in enumerate(bijections)}
     boundary = [index[tuple(h.conj(y, z) for z in range(h.order))] for y in range(h.order)]
     action = [list(b) for b in bijections]
-    return make_crossed_module(
-        h, g, boundary, action, name or f"conj({h.name})", strict_peiffer=True)
+    return make_crossed_module(h, g, boundary, action, name or f"conj({h.name})")
 
 
 def identity_cm(g: FiniteGroup, name: str | None = None) -> CrossedModule:
     """H = G, bnd = id, action = conjugation."""
     action = [[g.conj(x, y) for y in range(g.order)] for x in range(g.order)]
-    return make_crossed_module(
-        g, g, range(g.order), action, name or f"id({g.name})", strict_peiffer=True)
+    return make_crossed_module(g, g, range(g.order), action, name or f"id({g.name})")
 
 
 def trivial_h_cm(g: FiniteGroup, name: str | None = None) -> CrossedModule:
@@ -201,8 +201,7 @@ def trivial_h_cm(g: FiniteGroup, name: str | None = None) -> CrossedModule:
     (the Dijkgraaf-Witten specialization)."""
     h = build_trivial()
     action = [[0] for _ in range(g.order)]
-    return make_crossed_module(
-        h, g, [0], action, name or f"trivH({g.name})", strict_peiffer=True)
+    return make_crossed_module(h, g, [0], action, name or f"trivH({g.name})")
 
 
 def reduction_cm(h: FiniteGroup, g: FiniteGroup, boundary_images: Iterable[int],
@@ -210,7 +209,9 @@ def reduction_cm(h: FiniteGroup, g: FiniteGroup, boundary_images: Iterable[int],
     """A crossed module with the given boundary and the trivial action.
 
     Valid only when the image of the boundary is central in G and H is
-    abelian; make_crossed_module raises otherwise.
+    abelian (the Peiffer identity under a trivial action); raises otherwise.
     """
+    if not h.is_abelian():
+        raise ValueError(f"reduction_cm needs an abelian H, got {h.name}")
     action = [list(range(h.order)) for _ in range(g.order)]
-    return make_crossed_module(h, g, boundary_images, action, name, strict_peiffer=True)
+    return make_crossed_module(h, g, boundary_images, action, name)

@@ -22,7 +22,10 @@ Delta mode: `vertex <id>` (optional, for isolated vertices),
 integers local to the file; in-memory indices follow declaration order.
 Vertex ids are nonnegative integers, total order = numeric order.
 
-Loaders validate everything and raise FormatError with the line number.
+Loaders validate everything a definition requires and raise FormatError
+with the line number: the group axioms, and the crossed-module axioms of
+``crossed_modules.validate``.  The Peiffer identity is not one of them;
+``cmtop validate-cm`` checks it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,23 @@ def _fail(source: str, lineno: int, msg: str):
     raise FormatError(f"{source}:{lineno}: {msg}")
 
 
+def _row(source: str, lineno: int, tokens: list[str], order: int) -> list[int]:
+    try:
+        row = [int(t) for t in tokens]
+    except ValueError:
+        _fail(source, lineno, f"non-integer table entry in {tokens}")
+    if len(row) != order:
+        _fail(source, lineno, f"expected {order} entries, got {len(row)}")
+    return row
+
+
+def _group(rows: list[list[int]], name: str, where: str) -> FiniteGroup:
+    try:
+        return FiniteGroup.from_table(rows, name)
+    except GroupTableError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -68,21 +88,12 @@ def parse_group(text: str, source: str = "<group>") -> FiniteGroup:
             except ValueError:
                 _fail(source, lineno, f"order {tokens[2]!r} is not an integer")
             continue
-        try:
-            row = [int(t) for t in tokens]
-        except ValueError:
-            _fail(source, lineno, f"non-integer table entry in {tokens}")
-        if len(row) != order:
-            _fail(source, lineno, f"expected {order} entries, got {len(row)}")
-        rows.append(row)
+        rows.append(_row(source, lineno, tokens, order))
     if name is None:
         _fail(source, 0, "empty group file")
     if len(rows) != order:
         _fail(source, 0, f"expected {order} table rows, got {len(rows)}")
-    try:
-        return FiniteGroup.from_table(rows, name)
-    except GroupTableError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    return _group(rows, name, source)
 
 
 def load_group(path: str | Path) -> FiniteGroup:
@@ -102,26 +113,27 @@ def format_group(g: FiniteGroup) -> str:
 # crossed modules
 # ---------------------------------------------------------------------------
 
-def parse_crossed_module(text: str, source: str = "<cmod>", base_dir: str | Path = ".",
-                         strict_peiffer: bool = True) -> CrossedModule:
-    """Parse and validate; axiom violations are reported with witnesses.
+_DIRECTIVES = ("cmod", "group_h", "group_g", "delta", "action")
 
-    strict_peiffer adds the Peiffer identity to the checks (warn-only when
-    disabled, since the definition used here does not require it).
-    """
+
+def parse_crossed_module(text: str, source: str = "<cmod>",
+                         base_dir: str | Path = ".") -> CrossedModule:
+    """Parse and validate; axiom violations are reported with witnesses."""
     name = None
     groups: dict[str, FiniteGroup] = {}
     delta: list[int] | None = None
     action_rows: list[list[int]] = []
-    mode = None  # None | ("inline", key, order, rows, name, lineno) | "action"
+    # None | ("inline", key, order, [(lineno, tokens)], name, lineno) | "action"
+    mode = None
     for lineno, tokens in _lines(text):
         if isinstance(mode, tuple):
-            key, order, rows = mode[1], mode[2], mode[3]
-            rows.append(tokens)
+            if tokens[0] in _DIRECTIVES:
+                break  # the table is cut short
+            key, order, rows, gname, header = mode[1:]
+            rows.append((lineno, tokens))
             if len(rows) == order:
-                table_text = f"group {mode[4]} {order}\n" + "\n".join(
-                    " ".join(r) for r in rows)
-                groups[key] = parse_group(table_text, f"{source}:{key}")
+                table = [_row(source, n, row, order) for n, row in rows]
+                groups[key] = _group(table, gname, f"{source}:{header}: group_{key}")
                 mode = None
             continue
         if mode == "action":
@@ -172,16 +184,14 @@ def parse_crossed_module(text: str, source: str = "<cmod>", base_dir: str | Path
     if len(action_rows) != g.order or any(len(r) != h.order for r in action_rows):
         _fail(source, 0, f"action block must be {g.order} rows of {h.order} entries")
     try:
-        return make_crossed_module(h, g, delta, action_rows, name,
-                                   strict_peiffer=strict_peiffer)
+        return make_crossed_module(h, g, delta, action_rows, name)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def load_crossed_module(path: str | Path, strict_peiffer: bool = True) -> CrossedModule:
+def load_crossed_module(path: str | Path) -> CrossedModule:
     p = Path(path)
-    return parse_crossed_module(p.read_text(), str(p), p.parent,
-                                strict_peiffer=strict_peiffer)
+    return parse_crossed_module(p.read_text(), str(p), p.parent)
 
 
 def format_crossed_module(cm: CrossedModule) -> str:

@@ -21,20 +21,22 @@ from .crossed_modules import (
 from .groups import FiniteGroup, build_cyclic, build_direct_product, build_symmetric
 
 
+GROUPS = {
+    "z2": lambda: build_cyclic(2),
+    "z3": lambda: build_cyclic(3),
+    "z4": lambda: build_cyclic(4),
+    "z6": lambda: build_cyclic(6),
+    "s3": lambda: build_symmetric(3),
+    "k4": lambda: build_direct_product(build_cyclic(2), build_cyclic(2), "Z2xZ2"),
+    "trivial": lambda: build_cyclic(1, "1"),
+}
+
+
 @functools.cache
 def group(name: str) -> FiniteGroup:
-    builders = {
-        "z2": lambda: build_cyclic(2),
-        "z3": lambda: build_cyclic(3),
-        "z4": lambda: build_cyclic(4),
-        "z6": lambda: build_cyclic(6),
-        "s3": lambda: build_symmetric(3),
-        "k4": lambda: build_direct_product(build_cyclic(2), build_cyclic(2), "Z2xZ2"),
-        "trivial": lambda: build_cyclic(1, "1"),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown group fixture {name!r}; have {sorted(builders)}")
-    return builders[name]()
+    if name not in GROUPS:
+        raise KeyError(f"unknown group fixture {name!r}; have {sorted(GROUPS)}")
+    return GROUPS[name]()
 
 
 @functools.cache
@@ -105,27 +107,27 @@ COMPLEXES = {
 }
 
 
+CROSSED_MODULES = {
+    "id_z2": lambda: identity_cm(group("z2"), "id_z2"),
+    "id_z3": lambda: identity_cm(group("z3"), "id_z3"),
+    "id_s3": lambda: identity_cm(group("s3"), "id_s3"),
+    "conj_z2z2": lambda: conjugation_cm(group("k4"), "conj_z2z2"),
+    "conj_z3": lambda: conjugation_cm(group("z3"), "conj_z3"),
+    "trivh_z2": lambda: trivial_h_cm(group("z2"), "trivh_z2"),
+    "trivh_z3": lambda: trivial_h_cm(group("z3"), "trivh_z3"),
+    "trivh_s3": lambda: trivial_h_cm(group("s3"), "trivh_s3"),
+    "z4_to_z2": lambda: reduction_cm(group("z4"), group("z2"), [0, 1, 0, 1], "z4_to_z2"),
+}
+
+
 @functools.cache
 def crossed_module(name: str) -> CrossedModule:
-    builders = {
-        "id_z2": lambda: identity_cm(group("z2"), "id_z2"),
-        "id_z3": lambda: identity_cm(group("z3"), "id_z3"),
-        "id_s3": lambda: identity_cm(group("s3"), "id_s3"),
-        "conj_z2z2": lambda: conjugation_cm(group("k4"), "conj_z2z2"),
-        "conj_z3": lambda: conjugation_cm(group("z3"), "conj_z3"),
-        "trivh_z2": lambda: trivial_h_cm(group("z2"), "trivh_z2"),
-        "trivh_z3": lambda: trivial_h_cm(group("z3"), "trivh_z3"),
-        "trivh_s3": lambda: trivial_h_cm(group("s3"), "trivh_s3"),
-        "z4_to_z2": lambda: reduction_cm(group("z4"), group("z2"),
-                                         [0, 1, 0, 1], "z4_to_z2"),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown crossed-module fixture {name!r}; have {sorted(builders)}")
-    return builders[name]()
+    if name not in CROSSED_MODULES:
+        raise KeyError(f"unknown crossed-module fixture {name!r}; have {sorted(CROSSED_MODULES)}")
+    return CROSSED_MODULES[name]()
 
 
-CM_NAMES = ("id_z2", "id_z3", "id_s3", "conj_z2z2", "conj_z3",
-            "trivh_z2", "trivh_z3", "trivh_s3", "z4_to_z2")
+CM_NAMES = tuple(CROSSED_MODULES)
 
 # the named fixture set from the registry contract (broken_complex excluded
 # from anything that expects a valid manifold)

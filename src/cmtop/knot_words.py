@@ -67,38 +67,10 @@ K52 = GroupWord.parse("X y x Y X y x Y x y X Y x y D")
 BUILTIN_WORDS = {"fig8": FIG8, "t52": T52, "k52": K52}
 
 
-def evaluate_word(w: GroupWord, cm: CrossedModule, x: int, y: int, a: int) -> int:
-    """Left-to-right product in G, substituting x, y and bnd(a^-1) for D."""
-    g = cm.g
-    acc = 0
-    for letter in w.letters:
-        if letter == "X":
-            v = x
-        elif letter == "x":
-            v = g.inv(x)
-        elif letter == "Y":
-            v = y
-        elif letter == "y":
-            v = g.inv(y)
-        else:
-            v = cm.bnd(cm.h.inv(a))
-        acc = g.mul(acc, v)
-    return acc
-
-
-def _evaluate_relator(w: GroupWord, g: FiniteGroup, x: int, y: int) -> int:
-    acc = 0
-    for letter in w.letters:
-        if letter == "X":
-            v = x
-        elif letter == "x":
-            v = g.inv(x)
-        elif letter == "Y":
-            v = y
-        else:
-            v = g.inv(y)
-        acc = g.mul(acc, v)
-    return acc
+def evaluate_word(w: GroupWord, g: FiniteGroup, x: int, y: int, d: int = 0) -> int:
+    """Left-to-right product in g, substituting x, y and d for X, Y and D."""
+    values = {"X": x, "x": g.inv(x), "Y": y, "y": g.inv(y), "D": d}
+    return g.word(*(values[letter] for letter in w.letters))
 
 
 def word_state_sum(w: GroupWord, cm: CrossedModule) -> InvariantValue:
@@ -108,7 +80,7 @@ def word_state_sum(w: GroupWord, cm: CrossedModule) -> InvariantValue:
     for x in range(g.order):
         for y in range(g.order):
             for a in range(h.order):
-                if evaluate_word(w, cm, x, y, a) == 0:
+                if evaluate_word(w, g, x, y, cm.bnd(h.inv(a))) == 0:
                     hits += 1
     # each hit contributes delta = |G|; the factored form is N |G|^-1 |H|^-1
     return InvariantValue.from_admissible_count(hits, g.order, h.order, -1, -1)
@@ -123,7 +95,7 @@ def count_reps(relator: GroupWord, g: FiniteGroup) -> int:
     if relator.has_boundary_factor():
         raise ValueError("relator must not contain the boundary factor D")
     return sum(1 for x in range(g.order) for y in range(g.order)
-               if _evaluate_relator(relator, g, x, y) == 0)
+               if evaluate_word(relator, g, x, y) == 0)
 
 
 def abelian_solution_count(w: GroupWord, g: FiniteGroup) -> int:
@@ -216,7 +188,7 @@ def _sys41_xy_word(g: FiniteGroup, b, u, t, s) -> int:
     """The same word after the stated substitutions X = t^-1 s, Y = b u b^-1."""
     x = g.mul(g.inv(t), s)
     y = g.word(b, u, g.inv(b))
-    return _evaluate_relator(FIG8.without_boundary_factor(), g, x, y)
+    return evaluate_word(FIG8.without_boundary_factor(), g, x, y)
 
 
 def verify_41_system(g: FiniteGroup, samples: int | None = None,

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import OrderedComplex
-from .crossed_modules import CrossedModule
+from .crossed_modules import CrossedModule, peiffer_violations
 from .groups import FiniteGroup
 
 DEFAULT_BUDGET = 10**8
@@ -310,11 +310,8 @@ class _Engine:
         representatives of S = im(bnd) at a factor |S| each; without Peiffer,
         S = {e}.
         """
-        g, h = self.cm.g, self.cm.h
-        act, bnd = self.act, self.bnd
-        peiffer = all(act[bnd[y]][z] == h.conj(y, z)
-                      for y in range(h.order) for z in range(h.order))
-        image = sorted(set(bnd)) if peiffer else [0]
+        g = self.cm.g
+        image = [0] if peiffer_violations(self.cm) else sorted(set(self.bnd))
         reps = sorted({min(g.mul(s, x) for s in image) for x in range(g.order)})
         root = {v: v for v in self.c.vertices}
 

@@ -10,7 +10,7 @@ import cmtop
 from cmtop import fixtures
 from cmtop.cli import main
 from cmtop.complexes import are_isomorphic
-from cmtop.crossed_modules import make_crossed_module
+from cmtop.crossed_modules import make_crossed_module, peiffer_violations
 from cmtop.fileio import (
     FormatError,
     format_complex,
@@ -24,6 +24,7 @@ from cmtop.fileio import (
     parse_group,
 )
 from cmtop.groups import build_cyclic
+from cmtop.statesum import invariant
 
 
 def test_group_round_trip(tmp_path):
@@ -157,7 +158,9 @@ def test_cli_validate_cm_no_peiffer_warns_that_z_is_not_invariant(tmp_path, caps
     path = tmp_path / "twisted.cmod"
     path.write_text(format_crossed_module(cm))
     assert main(["validate-cm", str(path)]) == 1
-    capsys.readouterr()
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "INVALID crossed module z4z2_twisted:"
+    assert out[1:] == [f"  {v}" for v in peiffer_violations(cm)] and len(out) == 5
     assert main(["validate-cm", str(path), "--no-peiffer"]) == 0
     warnings = [line for line in capsys.readouterr().out.splitlines() if "warning:" in line]
     assert warnings[-1] == ("  warning: without the Peiffer identity the state sum Z "
@@ -178,6 +181,11 @@ def test_cli_malformed_crossed_module_file_names_the_line(tmp_path, capsys):
         (["group_h file none.grp"] + good[4:], 2, "cannot read 'none.grp'"),
         (["group_h inline Z2 two"] + good[2:], 2, "'two' is not a positive integer"),
         (["group_h inline Z2 3"] + good[2:4], 2, "group_h table ends after 2 of 3 rows"),
+        # a short table stops at the next directive, not at its first token
+        (["group_h inline Z2 3"] + good[2:], 2, "group_h table ends after 2 of 3 rows"),
+        # a bad row is located at its own line of the file
+        (["group_h inline Z2 2", "0 1", "0 x"] + good[4:], 4,
+         "non-integer table entry in ['0', 'x']"),
     ]
     for body, lineno, message in cases:
         path = tmp_path / "bad.cmod"
@@ -189,6 +197,28 @@ def test_cli_malformed_crossed_module_file_names_the_line(tmp_path, capsys):
         assert main(["invariant", "--complex", "single_tet", "--cm", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {expected}") and message in err, err
+
+
+def test_non_peiffer_file_loads_and_computes_like_the_module(tmp_path):
+    # the loaders check the definition only; the Peiffer identity is a
+    # property that validate-cm and the engine read
+    cm = make_crossed_module(build_cyclic(4), build_cyclic(2), [0, 1, 0, 1],
+                             [[0, 1, 2, 3], [0, 3, 2, 1]], "z4z2_twisted")
+    path = tmp_path / "twisted.cmod"
+    path.write_text(format_crossed_module(cm))
+    back = load_crossed_module(path)
+    assert back == cm and len(peiffer_violations(back)) == 4
+    for c in (fixtures.single_tet(), fixtures.s3_boundary_4simplex()):
+        assert invariant(back, c) == invariant(cm, c)
+
+
+def test_cli_unknown_fixture_names_are_clean_errors(capsys):
+    for argv in (["reps", "--group", "nosuch", "--builtin", "fig8"],
+                 ["word", "--cm", "nosuch", "--builtin", "fig8"],
+                 ["invariant", "--complex", "nosuch", "--cm", "id_z2"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'nosuch' is neither a readable file nor a fixture name")
 
 
 def test_cli_validate_complex(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ def test_rejects_bad_tables():
     ]
     with pytest.raises(GroupTableError):
         FiniteGroup.from_table(bad)
+    # the same loop times Z/2, labelled so that the greedy generating set
+    # starts with the Z/2 factor, which passes Light's test on its own
+    with pytest.raises(GroupTableError):
+        FiniteGroup.from_table(
+            [[bad[a // 2][b // 2] * 2 + (a + b) % 2 for b in range(10)] for a in range(10)])
 
 
 def test_table_is_immutable():
@@ -206,10 +212,17 @@ def test_hom_rejects_non_homomorphisms():
         GroupHom.from_map(z4, z2, [1, 0, 1, 0])  # identity not preserved
 
 
-def test_sampled_associativity_path():
-    # order > bound exercises the sampling branch; Z/100 is honest either way
-    g = FiniteGroup.from_table(
-        (np.arange(100)[:, None] + np.arange(100)[None, :]) % 100,
-        assoc_bound=50,
-    )
+def test_associativity_is_exact_on_large_tables():
+    g = FiniteGroup.from_table((np.arange(100)[:, None] + np.arange(100)[None, :]) % 100)
     assert g.order == 100
+    # Z/512 with the 2x2 intercalate at rows 7, 263 and columns 11, 267
+    # swapped: still a Latin square with identity 0 and inverses, but
+    # associativity fails on 8144 of its 512^3 triples, which 10 000 random
+    # triples miss about half the time
+    table = [[(a + b) % 512 for b in range(512)] for a in range(512)]
+    for r in (7, 263):
+        table[r][11], table[r][267] = table[r][267], table[r][11]
+    with pytest.raises(GroupTableError, match="associativity fails at") as info:
+        FiniteGroup.from_table(table)
+    x, s, y = map(int, re.findall(r"\d+", str(info.value)))
+    assert table[table[x][s]][y] != table[x][table[s][y]]

@@ -38,12 +38,12 @@ def test_word_parse_and_validation():
 
 
 def test_evaluate_word_examples():
-    cm = fixtures.crossed_module("id_z2")
-    assert evaluate_word(GroupWord(()), cm, 1, 1, 1) == 0
-    assert evaluate_word(FIG8, cm, 0, 0, 0) == 0
+    g = fixtures.crossed_module("id_z2").g
+    assert evaluate_word(GroupWord(()), g, 1, 1, 1) == 0
+    assert evaluate_word(FIG8, g, 0, 0, 0) == 0
     # T52 in additive Z/2: y + 4x + y - x = 3x = x
-    assert evaluate_word(T52, cm, 0, 1, 0) == 0
-    assert evaluate_word(T52, cm, 1, 0, 0) == 1
+    assert evaluate_word(T52, g, 0, 1, 0) == 0
+    assert evaluate_word(T52, g, 1, 0, 0) == 1
 
 
 def test_count_reps_examples():

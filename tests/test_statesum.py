@@ -8,7 +8,7 @@ from conftest import naive_statesum
 
 from cmtop import fixtures
 from cmtop.complexes import ComplexBuilder, disjoint_union, relabel, validate_manifold_basics
-from cmtop.crossed_modules import make_crossed_module, reduction_cm, validate
+from cmtop.crossed_modules import make_crossed_module, peiffer_violations, reduction_cm
 from cmtop.groups import FiniteGroup, build_cyclic, build_symmetric, build_trivial
 from cmtop.statesum import (
     BudgetExceededError,
@@ -203,8 +203,9 @@ def _a3_in_s3():
     emb = [0, r, s3.mul(r, r)]
     back = {x: y for y, x in enumerate(emb)}
     action = [[back[s3.conj(x, emb[y])] for y in range(3)] for x in range(6)]
-    return make_crossed_module(build_cyclic(3), s3, emb, action, "a3_s3",
-                               strict_peiffer=True)
+    cm = make_crossed_module(build_cyclic(3), s3, emb, action, "a3_s3")
+    assert not peiffer_violations(cm)
+    return cm
 
 
 def test_injective_non_surjective_boundary():
@@ -391,8 +392,10 @@ def _z4_negated_over_z2():
     """Z/4 over Z/2 with the trivial boundary and the negation action: the
     kernel is all of Z/4, and the holonomy twists it."""
     neg = [-y % 4 for y in range(4)]
-    return make_crossed_module(build_cyclic(4), build_cyclic(2), [0] * 4,
-                               [list(range(4)), neg], "z4_negated", strict_peiffer=True)
+    cm = make_crossed_module(build_cyclic(4), build_cyclic(2), [0] * 4,
+                             [list(range(4)), neg], "z4_negated")
+    assert not peiffer_violations(cm)
+    return cm
 
 
 def _delta_complex(edges, faces, tets):
@@ -444,9 +447,11 @@ def _z4_with_an_order_2_generator():
         [[label[(unlabel[a] + unlabel[b]) % 4] for b in range(4)] for a in range(4)], "z4")
     assert z4.element_order(1) == 2
     neg = [label[-unlabel[y] % 4] for y in range(4)]
-    return [make_crossed_module(z4, build_trivial(), [0] * 4, [list(range(4))], "z4_over_1"),
-            make_crossed_module(z4, build_cyclic(2), [0] * 4, [list(range(4)), neg],
-                                "z4_relabelled_negated", strict_peiffer=True)]
+    modules = [make_crossed_module(z4, build_trivial(), [0] * 4, [list(range(4))], "z4_over_1"),
+               make_crossed_module(z4, build_cyclic(2), [0] * 4, [list(range(4)), neg],
+                                   "z4_relabelled_negated")]
+    assert not peiffer_violations(modules[1])
+    return modules
 
 
 def test_every_face_counting_path_matches_the_oracle():
@@ -483,7 +488,7 @@ def test_noncentral_kernel_paths():
     from cmtop.moves import MoveDescriptor, apply
 
     cm = _s3_sign()
-    assert validate(cm, strict_peiffer=True)  # non-Peiffer
+    assert peiffer_violations(cm)  # non-Peiffer
     assert not cm.kernel_is_central()
 
     tet = fixtures.single_tet()
@@ -518,7 +523,7 @@ def test_non_peiffer_probe():
     from cmtop.statesum import SearchBudgetExceededError
 
     cm = _z4_z2_negation()
-    assert validate(cm, strict_peiffer=True)  # genuinely non-Peiffer
+    assert peiffer_violations(cm)  # genuinely non-Peiffer
 
     assert invariant(cm, fixtures.single_tet()).value == 2
     assert brute_force_invariant(cm, fixtures.single_tet()).value == 2
