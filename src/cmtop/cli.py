@@ -174,8 +174,7 @@ def _cmd_reps(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = selftest.run_selftest(seed=args.seed, budget=args.budget,
-                                    quick=args.quick)
+    results = selftest.run_selftest(budget=args.budget)
     if args.json:
         print(json.dumps([r.as_dict() for r in results], sort_keys=True))
     else:
@@ -241,10 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(func=_cmd_reps)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")
-    st.add_argument("--seed", type=int, default=0)
     st.add_argument("--budget", type=int, default=None)
-    st.add_argument("--quick", action="store_true",
-                    help="smaller trial counts (not the acceptance gate)")
     st.add_argument("--json", action="store_true")
     st.set_defaults(func=_cmd_selftest)
     return p

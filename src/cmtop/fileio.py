@@ -78,11 +78,12 @@ def parse_group(text: str, source: str = "<group>") -> FiniteGroup:
     rows: list[list[int]] = []
     name = None
     order = None
+    header = 0
     for lineno, tokens in _lines(text):
         if name is None:
             if tokens[0] != "group" or len(tokens) != 3:
                 _fail(source, lineno, "expected header 'group <name> <order>'")
-            name = tokens[1]
+            name, header = tokens[1], lineno
             try:
                 order = int(tokens[2])
             except ValueError:
@@ -92,7 +93,7 @@ def parse_group(text: str, source: str = "<group>") -> FiniteGroup:
     if name is None:
         _fail(source, 0, "empty group file")
     if len(rows) != order:
-        _fail(source, 0, f"expected {order} table rows, got {len(rows)}")
+        _fail(source, header, f"expected {order} table rows, got {len(rows)}")
     return _group(rows, name, source)
 
 
@@ -122,7 +123,8 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
     name = None
     groups: dict[str, FiniteGroup] = {}
     delta: list[int] | None = None
-    action_rows: list[list[int]] = []
+    delta_line = action_line = 0
+    action_rows: list[tuple[int, list[int]]] = []
     # None | ("inline", key, order, [(lineno, tokens)], name, lineno) | "action"
     mode = None
     for lineno, tokens in _lines(text):
@@ -138,7 +140,7 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
             continue
         if mode == "action":
             try:
-                action_rows.append([int(t) for t in tokens])
+                action_rows.append((lineno, [int(t) for t in tokens]))
             except ValueError:
                 _fail(source, lineno, f"non-integer action entry in {tokens}")
             continue
@@ -162,12 +164,13 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
                 _fail(source, lineno, f"expected '{tokens[0]} file <path>' or "
                                       f"'{tokens[0]} inline <name> <order>'")
         elif tokens[0] == "delta":
+            delta_line = lineno
             try:
                 delta = [int(t) for t in tokens[1:]]
             except ValueError:
                 _fail(source, lineno, "non-integer delta image")
         elif tokens[0] == "action":
-            mode = "action"
+            mode, action_line = "action", lineno
         else:
             _fail(source, lineno, f"unexpected directive {tokens[0]!r}")
     if isinstance(mode, tuple):
@@ -180,11 +183,17 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
         _fail(source, 0, "missing delta line")
     h, g = groups["h"], groups["g"]
     if len(delta) != h.order:
-        _fail(source, 0, f"delta has {len(delta)} images, |H| = {h.order}")
-    if len(action_rows) != g.order or any(len(r) != h.order for r in action_rows):
-        _fail(source, 0, f"action block must be {g.order} rows of {h.order} entries")
+        _fail(source, delta_line, f"delta has {len(delta)} images, |H| = {h.order}")
+    # a bad or surplus row is reported at its own line, missing rows at
+    # the action line
+    shape = f"action block must be {g.order} rows of {h.order} entries"
+    for n, (lineno, row) in enumerate(action_rows):
+        if n >= g.order or len(row) != h.order:
+            _fail(source, lineno, shape)
+    if len(action_rows) < g.order:
+        _fail(source, action_line, shape)
     try:
-        return make_crossed_module(h, g, delta, action_rows, name)
+        return make_crossed_module(h, g, delta, [row for _, row in action_rows], name)
     except ValueError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 

@@ -16,7 +16,7 @@ and for trivial H it reduces to (number of relator solutions)/|G|, which
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 
 from .crossed_modules import CrossedModule
@@ -135,6 +135,8 @@ class System41Report:
     word_mismatches: assignments where the long word and its X,Y form
         evaluate differently (they are syntactically identified here, so
         this should stay empty).
+    d_witnesses: the assignments counted in d_violations, in enumeration
+        order.
     """
 
     group: str
@@ -191,62 +193,40 @@ def _sys41_xy_word(g: FiniteGroup, b, u, t, s) -> int:
     return evaluate_word(FIG8.without_boundary_factor(), g, x, y)
 
 
-def verify_41_system(g: FiniteGroup, samples: int | None = None,
-                     seed: int = 0, max_witnesses: int = 5,
-                     existence_checks: int = 2000) -> System41Report:
-    """Enumerate (or sample) the seven boundary variables and check the
-    claims made about the equation system: that the first three equations
-    imply the fourth, that the closure word then vanishes, that the closure
-    word matches its X,Y form, and that the closure word holding is
-    equivalent to unique solvability for (c, d).
+def verify_41_system(g: FiniteGroup) -> System41Report:
+    """Enumerate all |G|^7 assignments of the seven boundary variables and
+    check the claims made about the equation system: that the first three
+    equations imply the fourth, that the closure word then vanishes, that
+    the closure word matches its X,Y form, and that the closure word
+    holding is equivalent to unique solvability for (c, d).
 
-    ``samples=None`` is exhaustive over |G|^7 assignments; otherwise that
-    many seeded random assignments are drawn (the unique-solvability claim,
-    which costs |G|^2 per distinct core, is capped at ``existence_checks``
-    cores either way).
+    The closure words depend only on the core (b, r, u, t, s), so each
+    core evaluates them once and tallies the (c, d) that solve the first
+    three equations; every core is checked for unique solvability.
     """
     n = g.order
-    rng = random.Random(seed)
-    if samples is None:
-        def assignments():
-            import itertools
-            yield from itertools.product(range(n), repeat=7)
-        checked = n**7
-    else:
-        def assignments():
-            for _ in range(samples):
-                yield tuple(rng.randrange(n) for _ in range(7))
-        checked = samples
-
-    abc = d_bad = fin_bad = word_bad = 0
+    abc = d_bad = fin_bad = word_bad = exist_bad = 0
     witnesses = []
-    seen_core: set[tuple[int, ...]] = set()
-    exist_bad = 0
-    for b, r, u, t, s, c, d in assignments():
-        eq_a, eq_b, eq_c, eq_d = _sys41_equations(g, b, r, u, t, s, c, d)
+    for b, r, u, t, s in itertools.product(range(n), repeat=5):
         long_value = _sys41_long_word(g, b, u, t, s)
         if long_value != _sys41_xy_word(g, b, u, t, s):
-            word_bad += 1
-        if eq_a and eq_b and eq_c:
-            abc += 1
-            if not eq_d:
-                d_bad += 1
-                if len(witnesses) < max_witnesses:
+            word_bad += n * n
+        solutions = 0
+        for c, d in itertools.product(range(n), repeat=2):
+            eq_a, eq_b, eq_c, eq_d = _sys41_equations(g, b, r, u, t, s, c, d)
+            if eq_a and eq_b and eq_c:
+                solutions += 1
+                if not eq_d:
+                    d_bad += 1
                     witnesses.append((b, r, u, t, s, c, d))
-            if long_value != 0:
-                fin_bad += 1
-        core = (b, r, u, t, s)
-        if core not in seen_core and len(seen_core) < existence_checks:
-            seen_core.add(core)
-            fin_holds = long_value == 0
-            solutions = sum(
-                1 for c2 in range(n) for d2 in range(n)
-                if all(_sys41_equations(g, b, r, u, t, s, c2, d2)[:3]))
-            if fin_holds != (solutions == 1):
-                exist_bad += 1
+                if long_value != 0:
+                    fin_bad += 1
+        if (long_value == 0) != (solutions == 1):
+            exist_bad += 1
+        abc += solutions
     return System41Report(
         group=g.name,
-        checked=checked,
+        checked=n**7,
         abc_count=abc,
         d_violations=d_bad,
         fin_violations=fin_bad,

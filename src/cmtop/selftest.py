@@ -2,14 +2,19 @@
 
 Each criterion returns a CriterionResult with a pass flag, a one-line
 detail string, and (for the enumeration checks that are allowed to surface
-counterexamples) a documented-finding note.  tests/test_acceptance.py runs
-the same functions through pytest; the CLI ``selftest`` subcommand prints
-one line per criterion.
+counterexamples) a documented-finding note.  Every criterion checks the
+whole of its finite domain, with no sampling: every applicable move of
+every trial complex under every fixture module, every vertex permutation
+of each fixture, every assignment of the boundary equation system, every
+admissible single-tet coloring and every single-token mutation of a
+serialized module.  tests/test_acceptance.py runs the same functions
+through pytest; the CLI ``selftest`` subcommand prints one line per
+criterion.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,16 +27,13 @@ from .groups import GroupHom, build_cyclic, build_symmetric
 from .knot_words import BUILTIN_WORDS, count_reps, verify_41_system, word_state_sum
 from .moves import MOVE_DELTAS, apply, enumerate_applicable
 from .statesum import (
-    SearchBudgetExceededError,
+    admissible_tet_colorings,
     brute_force_invariant,
     consistency_check_3tet,
     default_budget,
     invariant,
     is_admissible,
-    sample_admissible_tet_coloring,
 )
-
-TRIAL_NODE_BUDGET = 2_000_000
 
 
 @dataclass
@@ -141,58 +143,28 @@ def _move_trial_complexes():
     return out
 
 
-def _move_trial_pool(seed: int, complexes):
-    rng = random.Random(seed)
-    pool = []
-    for cname, c in complexes.items():
-        for kind in MOVE_DELTAS:
-            descs = enumerate_applicable(c, kind)
-            if not descs:
-                continue
-            # one guaranteed-cheap trial per (fixture, kind), then extras
-            pool.append((cname, kind, rng.choice(descs), "id_z2"))
-            extra = rng.sample(descs, min(len(descs), 3))
-            for m in extra:
-                pool.append((cname, kind, m,
-                             rng.choice(fixtures.CM_NAMES)))
-    rng.shuffle(pool)
-    return pool
-
-
-def criterion_4_move_invariance(seed=0, min_trials=20, quick=False):
+def criterion_4_move_invariance():
     complexes = _move_trial_complexes()
-    pool = _move_trial_pool(seed, complexes)
-    if quick:
-        min_trials = 8
-    ran = 0
-    skipped = 0
+    cms = [fixtures.crossed_module(name) for name in fixtures.CM_NAMES]
+    checks = 0
     kinds_seen = set()
-    want_kinds = {kind for cname, c in complexes.items()
-                  for kind in MOVE_DELTAS if enumerate_applicable(c, kind)}
-    for cname, kind, m, cm_name in pool:
-        if ran >= min_trials and kinds_seen >= want_kinds:
-            break
-        c = complexes[cname]
-        cm = fixtures.crossed_module(cm_name)
-        moved = apply(c, m)
-        try:
-            before = invariant(cm, c, node_budget=TRIAL_NODE_BUDGET).value
-            after = invariant(cm, moved, node_budget=TRIAL_NODE_BUDGET).value
-        except SearchBudgetExceededError:
-            skipped += 1
-            continue
-        if before != after:
-            return False, (f"{cname} {kind} {m} with {cm_name}: "
-                           f"{before} != {after}"), None
-        ran += 1
-        kinds_seen.add(kind)
-    if ran < min_trials:
-        return False, f"only {ran} trials ran (need {min_trials})", None
-    missing = want_kinds - kinds_seen
+    for cname, c in complexes.items():
+        before = [invariant(cm, c).value for cm in cms]
+        for kind in MOVE_DELTAS:
+            for m in enumerate_applicable(c, kind):
+                moved = apply(c, m)
+                for cm, want in zip(cms, before):
+                    got = invariant(cm, moved).value
+                    if got != want:
+                        return False, (f"{cname} {kind} {m} with {cm.name}: "
+                                       f"{want} != {got}"), None
+                    checks += 1
+                kinds_seen.add(kind)
+    missing = set(MOVE_DELTAS) - kinds_seen
     if missing:
-        return False, f"kinds {sorted(missing)} never ran a trial", None
-    return True, (f"{ran} randomized move trials exactly invariant "
-                  f"(kinds {sorted(kinds_seen)}, {skipped} skipped for cost)"), None
+        return False, f"kinds {sorted(missing)} apply to no trial complex", None
+    return True, (f"{checks} checks (every applicable move x every crossed module) "
+                  f"exactly invariant (kinds {sorted(kinds_seen)})"), None
 
 
 # --- criterion 5: order invariance --------------------------------------------
@@ -206,22 +178,20 @@ _ORDER_INVARIANCE_CMS = {
 }
 
 
-def criterion_5_order_invariance(seed=0, relabelings=10):
-    rng = random.Random(seed)
+def criterion_5_order_invariance():
+    count = 0
     for cname in fixtures.VALID_COMPLEX_NAMES:
         c = fixtures.COMPLEXES[cname]()
         cm_name = _ORDER_INVARIANCE_CMS[cname]
         cm = fixtures.crossed_module(cm_name)
         base = invariant(cm, c).value
         ids = list(c.vertices)
-        for _ in range(relabelings):
-            shuffled = ids[:]
-            rng.shuffle(shuffled)
-            r = relabel(c, dict(zip(ids, shuffled)))
-            got = invariant(cm, r).value
+        for perm in itertools.permutations(ids):
+            got = invariant(cm, relabel(c, dict(zip(ids, perm)))).value
             if got != base:
                 return False, f"{cname} under {cm_name}: {got} != {base}", None
-    return True, (f"{relabelings} random relabelings per fixture leave Z "
+            count += 1
+    return True, (f"all {count} vertex relabelings of the fixtures leave Z "
                   f"unchanged exactly"), None
 
 
@@ -271,15 +241,9 @@ def criterion_7_knot_words():
 
 # --- criterion 8: the 41a-41d system -------------------------------------------
 
-def criterion_8_boundary_system(seed=0, samples=100_000, quick=False):
-    if quick:
-        samples = 10_000
-    reports = [
-        verify_41_system(build_cyclic(2)),
-        verify_41_system(build_cyclic(3)),
-        verify_41_system(build_symmetric(3), samples=samples, seed=seed,
-                         existence_checks=1000),
-    ]
+def criterion_8_boundary_system():
+    reports = [verify_41_system(g)
+               for g in (build_cyclic(2), build_cyclic(3), build_symmetric(3))]
     finding_lines = []
     for rep in reports:
         if not rep.clean:
@@ -303,18 +267,26 @@ def criterion_8_boundary_system(seed=0, samples=100_000, quick=False):
 
 # --- criterion 9: the 3-face consistency identity -------------------------------
 
-def criterion_9_consistency(seed=0, samples=1000):
-    rng = random.Random(seed)
+def criterion_9_consistency():
     c = fixtures.single_tet()
+    count = 0
     for name in fixtures.CM_NAMES:
         cm = fixtures.crossed_module(name)
-        for _ in range(samples):
-            col = sample_admissible_tet_coloring(cm, c, rng)
+        n = 0
+        for col in admissible_tet_colorings(cm):
             if not is_admissible(cm, c, col):
-                return False, f"{name}: sampler produced inadmissible coloring", None
+                return False, f"{name}: enumerated an inadmissible coloring", None
             if not consistency_check_3tet(cm, col):
                 return False, f"{name}: identity fails at {col}", None
-    return True, f"{samples} admissible samples per crossed module, zero violations", None
+            n += 1
+        # distinct parameters give distinct colorings, so matching N means
+        # every admissible coloring was checked
+        want = invariant(cm, c).admissible_count
+        if n != want:
+            return False, f"{name}: enumerated {n} colorings, N = {want}", None
+        count += n
+    return True, (f"all {count} admissible single-tet colorings, zero "
+                  f"violations"), None
 
 
 # --- criterion 10: mutation rejection -------------------------------------------
@@ -339,7 +311,7 @@ def _cm_mutations(cm: CrossedModule):
                 yield CrossedModule(cm.h, cm.g, hom, cm.action, "mut")
 
 
-def criterion_10_validation(seed=0):
+def criterion_10_validation():
     # every single-entry mutation of these fixtures breaks an axiom and is
     # caught with a witness; the deliberately broken fixtures are rejected
     count = 0
@@ -355,29 +327,26 @@ def criterion_10_validation(seed=0):
     complex_report = validate_manifold_basics(fixtures.broken_complex())
     if not any("tet slots" in line for line in complex_report):
         return False, "broken_complex not reported", None
-    # file-level mutations: corrupting any table entry of a serialized
-    # fixture makes the loader reject it with a located error
-    rng = random.Random(seed)
-    text = format_crossed_module(fixtures.crossed_module("id_z3"))
+    # file-level mutations: changing any one table, delta or action entry
+    # of the serialized id_z3 fixture to either other value in 0..2 makes
+    # the loader reject it with a located error
+    lines = format_crossed_module(fixtures.crossed_module("id_z3")).splitlines()
     rejected = 0
-    for _ in range(40):
-        lines = text.splitlines()
-        ln = rng.randrange(1, len(lines))
-        parts = lines[ln].split()
-        if not parts or parts[0] in ("group_h", "group_g", "action"):
+    for ln, line in enumerate(lines):
+        parts = line.split()
+        if parts[0] in ("cmod", "group_h", "group_g", "action"):
             continue
-        start = 1 if parts[0] in ("delta",) else 0
-        col = rng.randrange(start, len(parts))
-        if not parts[col].lstrip("-").isdigit():
-            continue
-        parts[col] = str((int(parts[col]) + 1 + rng.randrange(2)) % 3)
-        lines[ln] = " ".join(parts)
-        try:
-            parse_crossed_module("\n".join(lines), "<mutated>")
-        except FormatError:
-            rejected += 1
-            continue
-        return False, "mutated crossed-module file accepted", None
+        for col in range(1 if parts[0] == "delta" else 0, len(parts)):
+            for shift in (1, 2):
+                mutated = list(parts)
+                mutated[col] = str((int(parts[col]) + shift) % 3)
+                body = lines[:ln] + [" ".join(mutated)] + lines[ln + 1:]
+                try:
+                    parse_crossed_module("\n".join(body), "<mutated>")
+                except FormatError:
+                    rejected += 1
+                    continue
+                return False, f"mutated crossed-module file accepted: {mutated}", None
     bad_complex = "tet 1 2 3 3\n"
     try:
         parse_complex(bad_complex, "<mutated>")
@@ -390,17 +359,17 @@ def criterion_10_validation(seed=0):
 
 # --- driver ---------------------------------------------------------------------
 
-def run_selftest(seed: int = 0, budget: int | None = None, quick: bool = False):
+def run_selftest(budget: int | None = None):
     checks = [
         (1, "disk value", lambda: criterion_1_disk(budget)),
         (2, "solid torus", criterion_2_solid_torus),
         (3, "sphere x interval", criterion_3_sphere_interval),
-        (4, "move invariance", lambda: criterion_4_move_invariance(seed, quick=quick)),
-        (5, "order invariance", lambda: criterion_5_order_invariance(seed)),
+        (4, "move invariance", criterion_4_move_invariance),
+        (5, "order invariance", criterion_5_order_invariance),
         (6, "engine equivalence", lambda: criterion_6_engine_equivalence(budget)),
         (7, "knot words", criterion_7_knot_words),
-        (8, "boundary equation system", lambda: criterion_8_boundary_system(seed, quick=quick)),
-        (9, "consistency identity", lambda: criterion_9_consistency(seed)),
-        (10, "mutation validation", lambda: criterion_10_validation(seed)),
+        (8, "boundary equation system", criterion_8_boundary_system),
+        (9, "consistency identity", criterion_9_consistency),
+        (10, "mutation validation", criterion_10_validation),
     ]
     return [_timed(num, name, fn) for num, name, fn in checks]

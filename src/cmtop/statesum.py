@@ -64,7 +64,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class SearchBudgetExceededError(RuntimeError):
-    """The fast engine's node budget ran out (used to gate test sampling)."""
+    """The fast engine's node budget ran out."""
 
 
 def default_budget() -> int:
@@ -582,33 +582,31 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
 # the 3-face consistency identity
 # ---------------------------------------------------------------------------
 
-def sample_admissible_tet_coloring(cm: CrossedModule, c: OrderedComplex, rng) -> Coloring:
-    """Uniform admissible coloring of the single-tet complex.
+def admissible_tet_colorings(cm: CrossedModule):
+    """Every admissible coloring of the single-tet complex
+    (``fixtures.single_tet``), each once: |G|^3 |H|^3 of them.
 
     Free parameters are the three edges at the least vertex and three of the
     four faces; the rest is forced by flatness and the tet constraint, which
     is exactly how the colorings are parametrized in the D^3 computation.
     """
-    if c.counts.as_tuple() != (4, 6, 4, 1):
-        raise ValueError("expected the single-tet complex")
     g, h = cm.g, cm.h
     # edge indices: 0:(12) 1:(13) 2:(14) 3:(23) 4:(24) 5:(34)
-    g12, g13, g14 = (rng.randrange(g.order) for _ in range(3))
-    h123, h124, h134 = (rng.randrange(h.order) for _ in range(3))
-    g23 = g.word(g.inv(cm.bnd(h123)), g13, g.inv(g12))
-    g24 = g.word(g.inv(cm.bnd(h124)), g14, g.inv(g12))
-    g34 = g.word(g.inv(cm.bnd(h134)), g14, g.inv(g13))
-    h234 = h.word(h.inv(h124), h134, cm.act(g34, h123))
-    coloring = Coloring(edge_colors=(g12, g13, g14, g23, g24, g34),
-                        face_colors=(h123, h124, h134, h234))
-    return coloring
+    for g12, g13, g14 in itertools.product(range(g.order), repeat=3):
+        for h123, h124, h134 in itertools.product(range(h.order), repeat=3):
+            g23 = g.word(g.inv(cm.bnd(h123)), g13, g.inv(g12))
+            g24 = g.word(g.inv(cm.bnd(h124)), g14, g.inv(g12))
+            g34 = g.word(g.inv(cm.bnd(h134)), g14, g.inv(g13))
+            h234 = h.word(h.inv(h124), h134, cm.act(g34, h123))
+            yield Coloring(edge_colors=(g12, g13, g14, g23, g24, g34),
+                           face_colors=(h123, h124, h134, h234))
 
 
 def consistency_check_3tet(cm: CrossedModule, coloring: Coloring) -> bool:
     """bnd(h134 * (g34 |> h123)) == bnd(h124 * h234) for the single tet.
 
-    Holds for every coloring whose tet obstruction vanishes; exercised as a
-    property test over admissible samples.
+    Holds for every coloring whose tet obstruction vanishes; checked on
+    every coloring of ``admissible_tet_colorings``.
     """
     g, h = cm.g, cm.h
     g34 = coloring.edge_colors[5]

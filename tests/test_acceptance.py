@@ -1,7 +1,8 @@
 """Acceptance suite: each criterion runs at its stated tolerance (exact
 equality everywhere; time limits as specified) and prints one line."""
 
-from cmtop import selftest
+from cmtop import fixtures, selftest
+from cmtop.moves import MOVE_DELTAS, apply, enumerate_applicable
 
 
 def _run(result):
@@ -26,15 +27,24 @@ def test_criterion_03_sphere_interval():
 
 
 def test_criterion_04_move_invariance():
-    result = selftest._timed(4, "move invariance",
-                             lambda: selftest.criterion_4_move_invariance(seed=0))
+    result = selftest._timed(4, "move invariance", selftest.criterion_4_move_invariance)
     _run(result)
     assert result.elapsed < 600.0
+    # one check per (trial complex, applicable move, crossed module): the
+    # valid fixtures plus the first B13 derivative of two of them
+    trials = [fixtures.COMPLEXES[name]() for name in fixtures.VALID_COMPLEX_NAMES]
+    for name in ("single_tet", "solid_torus"):
+        c = fixtures.COMPLEXES[name]()
+        trials.append(apply(c, enumerate_applicable(c, "B13")[0]))
+    moves = sum(len(enumerate_applicable(c, kind)) for c in trials for kind in MOVE_DELTAS)
+    assert result.details.startswith(f"{moves * len(fixtures.CM_NAMES)} checks ")
+    assert len(MOVE_DELTAS) == 7
+    assert f"kinds {sorted(MOVE_DELTAS)}" in result.details
 
 
 def test_criterion_05_order_invariance():
     _run(selftest._timed(5, "order invariance",
-                         lambda: selftest.criterion_5_order_invariance(seed=0)))
+                         selftest.criterion_5_order_invariance))
 
 
 def test_criterion_06_engine_equivalence():
@@ -48,7 +58,7 @@ def test_criterion_07_knot_words():
 
 def test_criterion_08_boundary_system():
     result = selftest._timed(8, "boundary equation system",
-                             lambda: selftest.criterion_8_boundary_system(seed=0))
+                             selftest.criterion_8_boundary_system)
     _run(result)
     # counterexamples to the fourth equation exist over Z/3 under the
     # one-variable reading of g_3''4; they must be surfaced, not dropped
@@ -58,9 +68,9 @@ def test_criterion_08_boundary_system():
 
 def test_criterion_09_consistency_identity():
     _run(selftest._timed(9, "consistency identity",
-                         lambda: selftest.criterion_9_consistency(seed=0)))
+                         selftest.criterion_9_consistency))
 
 
 def test_criterion_10_mutation_validation():
     _run(selftest._timed(10, "mutation validation",
-                         lambda: selftest.criterion_10_validation(seed=0)))
+                         selftest.criterion_10_validation))

@@ -176,21 +176,33 @@ def test_cli_malformed_crossed_module_file_names_the_line(tmp_path, capsys):
     good = format_crossed_module(fixtures.crossed_module("id_z2")).splitlines()
     assert good[1] == "group_h inline Z2 2"
     cases = [
-        (["group_h file"] + good[4:], 2, "group_h file <path>"),
-        (["group_h file ."] + good[4:], 2, "cannot read '.'"),
-        (["group_h file none.grp"] + good[4:], 2, "cannot read 'none.grp'"),
-        (["group_h inline Z2 two"] + good[2:], 2, "'two' is not a positive integer"),
-        (["group_h inline Z2 3"] + good[2:4], 2, "group_h table ends after 2 of 3 rows"),
+        (["group_h file"] + good[4:], "bad.cmod:2", "group_h file <path>"),
+        (["group_h file ."] + good[4:], "bad.cmod:2", "cannot read '.'"),
+        (["group_h file none.grp"] + good[4:], "bad.cmod:2", "cannot read 'none.grp'"),
+        (["group_h inline Z2 two"] + good[2:], "bad.cmod:2", "'two' is not a positive integer"),
+        (["group_h inline Z2 3"] + good[2:4], "bad.cmod:2",
+         "group_h table ends after 2 of 3 rows"),
         # a short table stops at the next directive, not at its first token
-        (["group_h inline Z2 3"] + good[2:], 2, "group_h table ends after 2 of 3 rows"),
+        (["group_h inline Z2 3"] + good[2:], "bad.cmod:2",
+         "group_h table ends after 2 of 3 rows"),
         # a bad row is located at its own line of the file
-        (["group_h inline Z2 2", "0 1", "0 x"] + good[4:], 4,
+        (["group_h inline Z2 2", "0 1", "0 x"] + good[4:], "bad.cmod:4",
          "non-integer table entry in ['0', 'x']"),
+        # a wrong-length delta at its line; a bad or surplus action row at
+        # its own line, missing action rows at the action line
+        (good[1:7] + ["delta 0 1 1"] + good[8:], "bad.cmod:8", "delta has 3 images, |H| = 2"),
+        (good[1:10] + ["0 1 1"], "bad.cmod:11", "action block must be 2 rows of 2 entries"),
+        (good[1:] + ["0 1"], "bad.cmod:12", "action block must be 2 rows of 2 entries"),
+        (good[1:10], "bad.cmod:9", "action block must be 2 rows of 2 entries"),
+        # a group file one row short, at its header line
+        (["group_h file short.grp"] + good[4:], "short.grp:2",
+         "expected 2 table rows, got 1"),
     ]
-    for body, lineno, message in cases:
+    (tmp_path / "short.grp").write_text("# one row short\ngroup Z2 2\n0 1\n")
+    for body, location, message in cases:
         path = tmp_path / "bad.cmod"
         path.write_text("\n".join(good[:1] + body) + "\n")
-        expected = f"{path}:{lineno}: "
+        expected = f"{tmp_path / location}: "
         assert main(["validate-cm", str(path)]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"INVALID: {expected}") and message in out, out

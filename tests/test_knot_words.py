@@ -125,8 +125,12 @@ def test_verify_41_system_trivial_group_clean():
     assert verify_41_system(build_trivial()).clean
 
 
-def test_verify_41_system_is_seeded():
-    s3 = build_symmetric(3)
-    a = verify_41_system(s3, samples=2000, seed=42, existence_checks=100)
-    b = verify_41_system(s3, samples=2000, seed=42, existence_checks=100)
-    assert a == b
+def test_verify_41_system_s3_exhaustive():
+    rep = verify_41_system(build_symmetric(3))
+    assert rep.checked == 6**7
+    assert rep.abc_count == 1296
+    assert rep.d_violations == len(rep.d_witnesses) == 756
+    assert rep.fin_violations == 432
+    assert rep.existence_mismatches == 864
+    assert rep.word_mismatches == 0
+    assert rep.d_witnesses[0] == (0, 0, 0, 3, 3, 0, 4)

@@ -15,12 +15,10 @@ from cmtop.statesum import (
     Coloring,
     InvariantValue,
     brute_force_invariant,
-    consistency_check_3tet,
     delta,
     face_holonomy,
     invariant,
     is_admissible,
-    sample_admissible_tet_coloring,
     tet_obstruction,
 )
 
@@ -345,17 +343,6 @@ def test_s2_interval_big_cross_check():
     assert (v.value, v.admissible_count) == (Fraction(8, 3), 1_202_315_964_973_056)
     v = invariant(fixtures.crossed_module("conj_z3"), big)
     assert (v.value, v.admissible_count) == (Fraction(9, 2), 5_509_980_288)
-
-
-def test_consistency_3tet_samples():
-    rng = random.Random(5)
-    c = fixtures.single_tet()
-    for name in ("id_z3", "id_s3", "z4_to_z2", "conj_z2z2"):
-        cm = fixtures.crossed_module(name)
-        for _ in range(200):
-            col = sample_admissible_tet_coloring(cm, c, rng)
-            assert is_admissible(cm, c, col)
-            assert consistency_check_3tet(cm, col)
 
 
 def test_invariant_value_str():
