@@ -207,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--cm", required=True)
     inv.add_argument("--engine", choices=("brute", "fast"), default="fast")
     inv.add_argument("--budget", type=int, default=None,
-                     help="colorings (brute) or search nodes (fast) allowed "
-                          "before exit 1 (default 1e8, env CMTOP_BUDGET)")
+                     help="entries of the largest table (brute) or search nodes "
+                          "(fast) allowed before exit 1 (default 1e8, env "
+                          "CMTOP_BUDGET)")
     inv.add_argument("--json", action="store_true")
     inv.set_defaults(func=_cmd_invariant)
 

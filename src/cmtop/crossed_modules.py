@@ -12,9 +12,10 @@ The G-on-G action is conjugation by definition and is not stored.
 The Peiffer identity bnd(y) ▷ y' = y y' y^-1 is not part of that
 definition: it is standard in the literature, some valid inputs here fail
 it, and ``peiffer_violations`` lists where.  ``validate`` and the loaders
-check the definition only; the state-sum engine reads the Peiffer property
-to choose its gauge, and ``cmtop validate-cm`` rejects a module that lacks
-it unless given ``--no-peiffer``.
+check the definition only.  ``statesum.invariant`` reads the Peiffer
+property to choose its engine: the gauge-fixed engine for a module that has
+it, the brute-force oracle for one that lacks it.  ``cmtop validate-cm``
+rejects a module that lacks it unless given ``--no-peiffer``.
 
 The action is stored as a tuple of int tuples, like the group tables, so a
 crossed module is immutable and compares and hashes by value.

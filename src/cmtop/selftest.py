@@ -215,8 +215,8 @@ def criterion_6_engine_equivalence(budget=None):
             if slow.value != fast.value or slow.admissible_count != fast.admissible_count:
                 return False, f"{cname} x {name}: {slow.value} != {fast.value}", None
             ran += 1
-    return True, (f"fast == brute on all {ran} in-budget fixture pairs "
-                  f"({excluded} pairs above the {budget} budget)"), None
+    return True, (f"fast == brute on all {ran} fixture pairs of at most {budget} "
+                  f"colorings ({excluded} larger pairs left out)"), None
 
 
 # --- criterion 7: knot words ---------------------------------------------------

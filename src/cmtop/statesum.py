@@ -18,26 +18,27 @@ per-face 1/|H| factors collapses the invariant to
 with N the number of admissible colorings.  Everything here is exact
 rational arithmetic; both engines return that factored form.
 
-Two engines compute N.  ``brute_force_invariant`` enumerates the full
-coloring space |G|^|K1| * |H|^|K2| (budget-gated) and is the oracle; it is
-the only code in the package that imports numpy, lazily, to sweep the
-larger of the edge and face factors as arrays.  ``invariant`` fixes the
+Two engines compute N.  ``brute_force_invariant`` is the oracle: it reads
+the state sum as a network of 0/1 factors, one per face and one per tet,
+and sums it exactly by variable elimination with numpy, lazily imported
+there and nowhere else; the size of its largest table is budget-gated.
+``invariant`` is the engine for crossed modules, that is, modules with the
+Peiffer identity; it hands any other module to the oracle.  It fixes the
 gauge first: the edges of a spanning forest are pinned to e (the vertex
-gauge, a factor |G| each), and under the Peiffer identity every other edge
-ranges over coset representatives of im(bnd) (the 2-gauge, a factor
-|im bnd| each).  It then searches the remaining edge colors, pruning faces
-whose required boundary image is outside im(bnd).  At each leaf every face
-color is h_f = b_f * k_f, a fixed preimage b_f of the face's requirement
-times an element k_f of A = ker(bnd).  When A is central in H the tet
-obstructions are affine in the k_f, so the face colors are the solutions
-of one linear system over the abelian group A, twisted by the G-action:
-one equation per tet, one unknown per face.  It has none, or as many
-solutions as the homogeneous system has, counted by elimination mod the
-exponent of A (Gaussian elimination over F_p when A is elementary
-abelian).  Only a non-central A is searched, one kernel coset per face,
-solving each tet for its last unknown face.  One breadth-first walk over
-the tets orders the edge search, the system's rows and columns and the
-coset search in linear time; the searches are explicit-stack loops, so no
+gauge, a factor |G| each), and every other edge ranges over coset
+representatives of im(bnd) (the 2-gauge, a factor |im bnd| each).  It
+then searches the remaining edge colors, pruning faces whose required
+boundary image is outside im(bnd).  At each leaf every face color is
+h_f = b_f * k_f, a fixed preimage b_f of the face's requirement times an
+element k_f of A = ker(bnd).  Peiffer makes A central in H: for k in A,
+h = bnd(k) |> h = k h k^-1.  So the tet obstructions are affine in the
+k_f, and the face colors are the solutions of one linear system over the
+abelian group A, twisted by the G-action: one equation per tet, one
+unknown per face.  It has none, or as many solutions as the homogeneous
+system has, counted by elimination mod the exponent of A (Gaussian
+elimination over F_p when A is elementary abelian).  One breadth-first
+walk over the tets orders the edge search and the system's rows and
+columns in linear time; the search is an explicit-stack loop, so no
 complex is too large for the interpreter's recursion limit.  The engine
 never enumerates the full space, is bounded by a search-node budget, and
 must agree with the oracle exactly wherever both run.
@@ -46,6 +47,7 @@ must agree with the oracle exactly wherever both run.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +58,6 @@ from .groups import FiniteGroup
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CMTOP_BUDGET"
-_CHUNK = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -145,78 +146,83 @@ def _result(n: int, cm: CrossedModule, c: OrderedComplex) -> InvariantValue:
 
 def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
                           budget: int | None = None) -> InvariantValue:
-    """Literal evaluation of the state sum over every coloring.
+    """The oracle: N as an exact contraction of the state sum's local weights.
 
-    The coloring space has |G|^|K1| * |H|^|K2| points; anything over the
-    budget raises BudgetExceededError with a pointer at the fast engine.
-    The enumeration loops python-side over the smaller of the two factors
-    (the outer side) and sweeps the larger one (the inner side) as chunked
-    numpy digit arrays.  This is the only place that uses numpy.
+    N sums, over every coloring, a product of 0/1 factors: one per face over
+    (e01, e02, e12, h_f), 1 when its holonomy is e, and one per tet over
+    (h012, h013, h023, h123, e23), 1 when its obstruction is e.  The
+    variables are summed out one at a time with ``numpy.einsum``, each time
+    the one whose merged factor is smallest, in an order fixed before any
+    table is built.  A variable filling several slots of one factor is a
+    diagonal of that factor's table, and one in no factor multiplies N by
+    its group's order.  Every table entry counts assignments of variables
+    already summed out, so int64 is exact while the coloring space
+    |G|^|K1| * |H|^|K2| is below 2^63; a larger space raises
+    BudgetExceededError, and so does an order whose largest table has more
+    entries than the budget.  The oracle shares only the complex and the
+    group tables with the fast engine, and is the only code in the package
+    that imports numpy.
     """
     import numpy as np
 
     budget = default_budget() if budget is None else budget
-    g, h = cm.g, cm.h
-    E, F = len(c.edges), len(c.faces)
-    total = g.order**E * h.order**F
-    if total > budget:
+    g, h, E, F = cm.g, cm.h, len(c.edges), len(c.faces)
+    sizes = [g.order] * E + [h.order] * F  # variables: the edges, then the faces
+    space = math.prod(sizes)
+    if space >= 2**63:
         raise BudgetExceededError(
-            f"{total} colorings exceed budget {budget}; use the fast engine "
-            f"(invariant) or raise the budget")
-    dtype = np.min_scalar_type(max(g.order, h.order) - 1)
+            f"{space} colorings: the oracle's int64 counts are exact only below "
+            f"2^63; the fast engine (invariant) counts any module with the "
+            f"Peiffer identity")
+    slots = ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(c.faces)]
+             + [(*(E + f for f in t), c.faces[t[3]][2]) for t in c.tets])
+    scopes = [tuple(dict.fromkeys(s)) for s in slots]
+    used = {v for s in scopes for v in s}
+
+    def entries(scope):
+        return math.prod(sizes[v] for v in scope)
+
+    # the order, symbolically: each step merges the factors holding one
+    # variable into a table over the other variables they hold
+    steps, live = [], set(range(len(scopes)))
+    while merged := {v: set() for i in live for v in scopes[i]}:
+        for i in live:
+            for v in scopes[i]:
+                merged[v].update(scopes[i])
+        v = min(merged, key=lambda v: (entries(merged[v]), len(merged[v]), v))
+        held = [i for i in live if v in scopes[i]]
+        live.difference_update(held)
+        live.add(len(scopes))
+        scopes.append(tuple(sorted(merged[v] - {v})))
+        steps.append((held, sorted(merged[v])))
+    largest = max(map(entries, scopes), default=1)
+    if largest > budget:
+        raise BudgetExceededError(
+            f"the contraction's largest table has {largest} entries, over the "
+            f"budget of {budget}; raise the budget, or for a module with the "
+            f"Peiffer identity use the fast engine (invariant)")
+
     gt, ginv, ht, hinv, act, bnd = (
-        np.asarray(x, dtype=dtype)
-        for x in (g.table, g.inverses, h.table, h.inverses, cm.action, cm.boundary.map))
-    image = cm.image_of_boundary()
-    e23s = [c.faces[f123][2] for (_, _, _, f123) in c.tets]
-    edges_outer = g.order**E <= h.order**F
-    outer_radix, outer_len, inner_radix, inner_len = (
-        (g.order, E, h.order, F) if edges_outer else (h.order, F, g.order, E))
-    inner_total = inner_radix**inner_len
-    count = 0
-    for start in range(0, inner_total, _CHUNK):
-        m = min(_CHUNK, inner_total - start)
-        idx = np.arange(start, start + m, dtype=np.int64)
-        inner = []
-        for _ in range(inner_len):
-            inner.append((idx % inner_radix).astype(dtype))
-            idx //= inner_radix
-        del idx
-        # each face equation bnd(h_f) = g02 g01^-1 g12^-1, split into its
-        # H-side and G-side terms; the inner side's terms are arrays built
-        # once per chunk, the outer side's are scalars per outer assignment
-        if edges_outer:
-            hc = inner
-            inner_terms = [bnd[y] for y in hc]
-        else:
-            ec = inner
-            inner_terms = [gt[gt[ec[e02], ginv[ec[e01]]], ginv[ec[e12]]]
-                           for (e01, e02, e12) in c.faces]
-        for outer in itertools.product(range(outer_radix), repeat=outer_len):
-            if edges_outer:
-                ec = outer
-                outer_terms = [g.word(ec[e02], g.inv(ec[e01]), g.inv(ec[e12]))
-                               for (e01, e02, e12) in c.faces]
-                if not image.issuperset(outer_terms):
-                    continue  # no face coloring meets a requirement outside im(bnd)
-            else:
-                hc = outer
-                outer_terms = [cm.bnd(y) for y in hc]
-            mask = np.ones(m, dtype=bool)
-            for inner_term, outer_term in zip(inner_terms, outer_terms):
-                mask &= inner_term == outer_term
-                if not mask.any():
-                    break
-            else:
-                for t, (f012, f013, f023, f123) in enumerate(c.tets):
-                    w = ht[ht[hc[f023], act[ec[e23s[t]], hc[f012]]],
-                           ht[hinv[hc[f123]], hinv[hc[f013]]]]
-                    mask &= w == 0
-                    if not mask.any():
-                        break
-                count += int(np.count_nonzero(mask))
-        del inner, inner_terms, hc, ec  # free this chunk before building the next
-    return _result(count, cm, c)
+        np.asarray(x) for x in (g.table, g.inverses, h.table, h.inverses,
+                                cm.action, cm.boundary.map))
+    tables = {}
+    for i, s in enumerate(slots):
+        axes = np.ix_(*(np.arange(sizes[v]) for v in scopes[i]))
+        x = [axes[scopes[i].index(v)] for v in s]  # a repeated variable: a diagonal
+        if i < F:  # bnd(h_f) = g02 g01^-1 g12^-1
+            table = gt[gt[x[1], ginv[x[0]]], ginv[x[2]]] == bnd[x[3]]
+        else:  # h023 (g23 |> h012) h123^-1 h013^-1 = e
+            table = ht[ht[x[2], act[x[4], x[0]]], ht[hinv[x[3]], hinv[x[1]]]] == 0
+        tables[i] = table.astype(np.int64)
+    for k, (held, union) in enumerate(steps, start=len(slots)):
+        label = {v: j for j, v in enumerate(union)}
+        operands = []
+        for i in held:
+            operands += [tables.pop(i), [label[v] for v in scopes[i]]]
+        tables[k] = np.einsum(*operands, [label[v] for v in scopes[k]])
+    n = math.prod(int(t) for t in tables.values())
+    n *= math.prod(sizes[v] for v in range(len(sizes)) if v not in used)
+    return _result(n, cm, c)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +248,8 @@ class _Engine:
         self.faces = c.faces
         self.tets = c.tets
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
-        self.central = cm.kernel_is_central()
         self._plan()
-        if self.central and len(self.ker) > 1:
+        if len(self.ker) > 1:
             self._coordinates()
         self._gauge()
 
@@ -252,48 +257,34 @@ class _Engine:
         """One breadth-first walk over the tets of each component.
 
         The walk lists the tets and the edges in the order it first meets
-        them (edges in no tet last), and the faces in the order it assigns
-        them, and writes one face plan per component for the coset search:
-        at each tet it gives the unassigned faces a free kernel value each,
-        except the last one that fills a single slot: that face is forced by
-        the tet's obstruction, and a tet with no such face is checked.  So
-        every tet is forced or checked exactly once.  Ops: ("branch", f),
-        ("force", case, f, t) and ("check", 3, f123, t).
+        them (edges in no tet last), and the faces of the tets in the order
+        it first meets them.
         """
         c = self.c
         seen_tet = [False] * len(self.tets)
         seen_edge = [False] * len(c.edges)
-        assigned = [False] * len(self.faces)
-        order, self.plans, self.walk, self.face_order = [], [], [], []
+        seen_face = [False] * len(self.faces)
+        order, self.walk, self.face_order = [], [], []
         for t0 in range(len(self.tets)):
             if seen_tet[t0]:
                 continue
             seen_tet[t0] = True
-            queue, ops = [t0], []
+            queue = [t0]
             for t in queue:  # grows as the walk goes
                 for e in c.tet_edge_slots(t):
                     if not seen_edge[e]:
                         seen_edge[e] = True
                         order.append(e)
-                slots = self.tets[t]
-                unknown = [f for f in dict.fromkeys(slots) if not assigned[f]]
-                forced = next((f for f in reversed(unknown) if slots.count(f) == 1), None)
-                for f in unknown:
-                    assigned[f] = True
-                    self.face_order.append(f)
-                    if f != forced:
-                        ops.append(("branch", f))
-                ops.append(("check", 3, slots[3], t) if forced is None
-                           else ("force", slots.index(forced), forced, t))
-                for f in slots:
+                for f in self.tets[t]:
+                    if not seen_face[f]:
+                        seen_face[f] = True
+                        self.face_order.append(f)
                     for t2, _ in c.face_incidence[f]:
                         if not seen_tet[t2]:
                             seen_tet[t2] = True
                             queue.append(t2)
-            self.plans.append(ops)
             self.walk += queue
         self.edge_order = order + [e for e in range(len(c.edges)) if not seen_edge[e]]
-        self.free_faces = assigned.count(False)
         # faces become checkable once all their edges are assigned
         pos = {e: i for i, e in enumerate(self.edge_order)}
         self.faces_done_at = [[] for _ in self.edge_order]
@@ -307,11 +298,10 @@ class _Engine:
         its edges are pinned to e at a factor |G| each.  Under the Peiffer
         identity the 2-gauge g_e -> bnd(y) g_e maps admissible colorings to
         admissible ones, so every other edge ranges over coset
-        representatives of S = im(bnd) at a factor |S| each; without Peiffer,
-        S = {e}.
+        representatives of S = im(bnd) at a factor |S| each.
         """
         g = self.cm.g
-        image = [0] if peiffer_violations(self.cm) else sorted(set(self.bnd))
+        image = sorted(set(self.bnd))
         reps = sorted({min(g.mul(s, x) for s in image) for x in range(g.order)})
         root = {v: v for v in self.c.vertices}
 
@@ -341,12 +331,12 @@ class _Engine:
         mul, inv, pre, faces = self.mul_g, self.inv_g, self.pre, self.faces
         ga = self.g_assign = [0] * len(order)
         req = self.req = [-1] * len(faces)
-        self.h_assign = [-1] * len(faces)
         tried = [0] * len(order)  # values tried so far at each depth
         total, depth = 0, 0
         while depth >= 0:
             if depth == len(order):
-                total += self._count_h()
+                # with A = ker(bnd) = {e} every w_t(b) is e: each leaf counts once
+                total += self._solve() if len(self.ker) > 1 else 1
                 depth -= 1
                 continue
             i = tried[depth]
@@ -369,21 +359,8 @@ class _Engine:
 
     # ----- face colors, given all edge colors -----
 
-    def _count_h(self) -> int:
-        if len(self.ker) == 1:
-            return 1  # every w_t(b) lies in A = {e}: each leaf counts once
-        if self.central:
-            return self._solve()
-        # faces in no tet contribute a free kernel factor each
-        total = len(self.ker) ** self.free_faces
-        for plan in self.plans:
-            total *= self._exec_plan(plan)
-            if total == 0:
-                return 0
-        return total
-
     def _coordinates(self) -> None:
-        """Write A = ker(bnd), abelian here, as Z^r modulo a relation lattice,
+        """Write A = ker(bnd), central and so abelian, as Z^r modulo a relation lattice,
         and lay out the linear system of ``_solve``.
 
         Each generator a_l is the least element outside the subgroup S of
@@ -393,7 +370,7 @@ class _Engine:
         coordinates.  Entries live mod the exponent D of A.  The rows are the
         tets in reverse walk order: ``_reduce`` pivots on the largest key, so
         each face's column starts its reduction at the tet where the walk
-        assigned the face.
+        first met the face.
         """
         h = self.cm.h
         self.exponent = d = max(h.element_order(a) for a in self.ker)
@@ -416,12 +393,12 @@ class _Engine:
         self.relations = {i * r + l: {i * r + q: x for q, x in rel.items()}
                           for i in range(len(self.rows)) for l, rel in enumerate(rels)}
         row = {t: i for i, t in enumerate(self.rows)}
-        # per face, in the order the walk assigns them: (row, slot is 0, sign)
+        # per face, in the order the walk meets them: (row, slot is 0, sign)
         self.columns = [[(row[t], s == 0, 1 if s in (0, 2) else -1)
                          for t, s in self.c.face_incidence[f]] for f in self.face_order]
 
     def _solve(self) -> int:
-        """Face colorings of one leaf when A is central, without search.
+        """Face colorings of one leaf, without search.
 
         With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
         obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
@@ -458,58 +435,6 @@ class _Engine:
             if _reduce(basis, constants, d, insert=False) > 1:
                 return 0
         return len(self.ker)**len(self.faces) // image
-
-    def _exec_plan(self, ops: list[tuple]) -> int:
-        """Completions of one face plan when A is not central, by an
-        explicit-stack search over the kernel values of its branch ops.
-
-        A forced value needs no test of its boundary.  bnd(w_t) is the
-        product of the four bnd(h_f), slot 0 conjugated by g23, and that
-        product is e when each bnd(h_f) is the face's requirement.  So with
-        three faces at their requirements and w_t = e, bnd of the forced
-        value is the fourth face's requirement."""
-        mh, ih, act = self.mul_h, self.inv_h, self.act
-        ha, ga, ker, req = self.h_assign, self.g_assign, self.ker, self.req
-        tried = [0] * len(ops)
-        branches = []  # indices of the open branch ops, innermost last
-        count, i = 0, 0
-        while True:
-            if i == len(ops):
-                count += 1
-            elif ops[i][0] == "branch":
-                branches.append(i)
-            else:
-                kind, case, u, t = ops[i]
-                f012, f013, f023, f123 = self.tets[t]
-                g23 = ga[self.tet_e23[t]]
-                # the value of slot `case` that makes the obstruction vanish
-                if case == 2:
-                    # x * (g|>h012) * h123^-1 * h013^-1 = e
-                    y = ih[mh[act[g23][ha[f012]]][mh[ih[ha[f123]]][ih[ha[f013]]]]]
-                elif case == 0:
-                    # h023 * (g|>x) * h123^-1 * h013^-1 = e
-                    y = act[self.inv_g[g23]][mh[mh[ih[ha[f023]]][ha[f013]]][ha[f123]]]
-                elif case == 3:
-                    # x = h013^-1 * h023 * (g|>h012)
-                    y = mh[mh[ih[ha[f013]]][ha[f023]]][act[g23][ha[f012]]]
-                else:
-                    # case 1: x = h023 * (g|>h012) * h123^-1
-                    y = mh[mh[ha[f023]][act[g23][ha[f012]]]][ih[ha[f123]]]
-                if kind == "force" or y == ha[u]:
-                    ha[u] = y
-                    i += 1
-                    continue
-            # move the innermost open branch to its next kernel value
-            while branches and tried[branches[-1]] == len(ker):
-                tried[branches.pop()] = 0
-            if not branches:
-                return count
-            j = branches[-1]
-            self._tick()
-            f = ops[j][1]
-            ha[f] = mh[self.pre[req[f]]][ker[tried[j]]]
-            tried[j] += 1
-            i = j + 1
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -561,21 +486,20 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     Assumes ``cm`` satisfies the crossed-module axioms (as every module built
     by ``make_crossed_module`` or the file loader does): the gauge fixing
     and the face counting rely on them, so on a module that ``validate``
-    rejects the result need not match the oracle.  Face colors are counted
-    by linear algebra over ker(bnd) when it is central in H, one equation
-    per tet and one unknown per face, and searched one kernel coset at a
-    time otherwise.  The Peiffer identity is not assumed; the engine
-    checks it and uses the 2-gauge only when it holds.
-    Without it Z is still computed exactly, but it is not a triangulation
-    invariant: for Z/4 -> Z/2 with the negation action, S^3 gives 3/2 as
-    the boundary of the 4-simplex and 2 after one P41 move.
-    ``node_budget`` bounds the search nodes (edge values tried, plus kernel
-    cosets tried when ker(bnd) is not central); past it the engine raises
-    SearchBudgetExceededError.
+    rejects the result need not match the oracle.  The engine needs the
+    Peiffer identity too: it gives the 2-gauge, and it makes ker(bnd)
+    central, so the face colors of each leaf are counted by linear algebra
+    over ker(bnd), one equation per tet and one unknown per face.  A module
+    without it is computed by ``brute_force_invariant`` under its own
+    budget (``default_budget``), and ``node_budget`` does not apply.  Its Z
+    is exact but not a triangulation invariant: for Z/4 -> Z/2 with the
+    negation action, S^3 gives 3/2 as the boundary of the 4-simplex and 2
+    after one P41 move.  ``node_budget`` bounds the search nodes (edge
+    values tried); past it the engine raises SearchBudgetExceededError.
     """
-    engine = _Engine(cm, c, node_budget)
-    n = engine.run()
-    return _result(n, cm, c)
+    if peiffer_violations(cm):
+        return brute_force_invariant(cm, c)
+    return _result(_Engine(cm, c, node_budget).run(), cm, c)
 
 
 # ---------------------------------------------------------------------------
