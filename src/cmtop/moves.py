@@ -14,16 +14,33 @@ with inverses negating them.
 The cone moves P14/B13 (and their inverses) are pure slot surgery and work
 on singular targets too.  P23, P32 and B22 build new simplices out of
 existing vertices and therefore require embedded configurations: the
-corner vertices involved must be pairwise distinct.  Every precondition
-failure raises MoveError with a witness.
+corner vertices involved must be pairwise distinct.
 
-Every check happens before the build.  A move is first put together as a
-patch against its input: the simplices it drops and the ones it adds, with
-each new face and tet given the first slot order consistent with its
-edges or faces.  Only a fully assembled patch is built into a complex, so
-``enumerate_applicable`` decides each candidate without building one.
-Indices named in a MoveError refer to the input complex; simplices the
-move adds are numbered after the input's last one.
+Each kind is split in two.  Its precondition raises every MoveError the
+move can raise, each with a witness, and its assembly cannot fail once the
+precondition holds.  ``enumerate_applicable`` runs only the precondition,
+so it decides each candidate without assembling a patch, let alone
+building a complex.  ``apply`` runs the precondition, then the assembly,
+which puts the move together as a patch against its input (the simplices
+it drops and the ones it adds, each new face and tet given its slot order
+directly), then builds the patch, where ComplexBuilder checks every slot
+once more.  Indices named in a MoveError refer to the input complex.
+
+Beyond incidence and embedding, the preconditions check orientation: each
+new face and tet needs a slot order, so the edges among its corners must
+not run around a cycle.
+- P14/B13 always fit: the new vertex comes after every corner.
+- P23's new edge joins the apexes d and e of its two tets, which sit at
+  corners p1 and p2 of their tets, and runs from the smaller id to the
+  larger.  Each tet orders the shared face's corners with its apex put in
+  at its corner, so the edge fits unless p1 < p2 with d > e, or p1 > p2
+  with d < e.  B22's new edge between its wing corners follows the same
+  rule.
+- P32's new base face fits unless its three edges run around a cycle.
+- P41/B31 close the star of a vertex v with one tet, whose corners are
+  the edges at v, ordered as their far ends are in the star tets.  Its
+  faces (the outer faces of the star, and for B31 a new base face on the
+  rim edges) must fit that order.
 
 New entities are appended after the surviving ones, so e.g. the edge
 created by P23 is the last edge of the result; new vertices must be larger
@@ -33,7 +50,9 @@ than all existing ids, extending the total order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import ComplexBuilder, OrderedComplex
 
@@ -80,33 +99,35 @@ class MoveDescriptor:
 
 
 def apply(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    return _PATCHES[m.kind](c, m).build()
+    precondition, assembly = _MOVES[m.kind]
+    return assembly(c, precondition(c, m.target, m.new_vertex)).build()
 
 
 def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
     """Every descriptor of the given kind whose precondition holds."""
-    fresh = (max(c.vertices) + 1) if c.vertices else 0
-    candidates: list[MoveDescriptor]
-    if kind == "P14":
-        candidates = [MoveDescriptor(kind, t, fresh) for t in range(len(c.tets))]
-    elif kind == "B13":
-        candidates = [MoveDescriptor(kind, f, fresh) for f in c.boundary_face_indices()]
-    elif kind == "P23":
-        candidates = [MoveDescriptor(kind, f) for f in range(len(c.faces))
-                      if not c.is_boundary_face(f)]
-    elif kind == "P32" or kind == "B22":
-        candidates = [MoveDescriptor(kind, e) for e in range(len(c.edges))]
-    elif kind == "P41" or kind == "B31":
-        candidates = [MoveDescriptor(kind, v) for v in c.vertices]
-    else:
+    if kind not in _MOVES:
         raise MoveError(f"unknown move kind {kind!r}")
+    fresh = c.vertices[-1] + 1 if c.vertices else 0
+    targets: Iterable[int]
+    if kind == "P14":
+        targets = range(len(c.tets))
+    elif kind == "B13":
+        targets = c.boundary_face_indices()
+    elif kind == "P23":
+        targets = [f for f in range(len(c.faces)) if not c.is_boundary_face(f)]
+    elif kind == "P32" or kind == "B22":
+        targets = range(len(c.edges))
+    else:
+        targets = c.vertices
+    new_vertex = fresh if kind in ("P14", "B13") else None
+    precondition = _MOVES[kind][0]
     out = []
-    for m in candidates:
+    for x in targets:
         try:
-            _PATCHES[kind](c, m)
+            precondition(c, x, new_vertex)
         except MoveError:
             continue
-        out.append(m)
+        out.append(MoveDescriptor(kind, x, new_vertex))
     return out
 
 
@@ -130,33 +151,12 @@ class _Patch:
         self.edges.append((tail, head))
         return len(self.c.edges) + len(self.edges) - 1
 
-    def add_face(self, *candidates: int) -> int:
-        """Add a face on three edges in the first endpoint-consistent slot
-        order."""
-        n = len(self.c.edges)
-        ends = {e: self.c.edges[e] if e < n else self.edges[e - n] for e in candidates}
-        for e01, e02, e12 in itertools.permutations(candidates):
-            if (ends[e01][0] == ends[e02][0]
-                    and ends[e01][1] == ends[e12][0]
-                    and ends[e02][1] == ends[e12][1]):
-                self.faces.append((e01, e02, e12))
-                return len(self.c.faces) + len(self.faces) - 1
-        raise MoveError(f"edges {candidates} admit no consistent face ordering")
+    def add_face(self, e01: int, e02: int, e12: int) -> int:
+        self.faces.append((e01, e02, e12))
+        return len(self.c.faces) + len(self.faces) - 1
 
-    def add_tet(self, *candidates: int) -> int:
-        """Add a tet on four faces in the first edge-consistent slot order."""
-        n = len(self.c.faces)
-        faces = {f: self.c.faces[f] if f < n else self.faces[f - n] for f in candidates}
-        for f012, f013, f023, f123 in itertools.permutations(candidates):
-            if (faces[f012][0] == faces[f013][0]
-                    and faces[f012][1] == faces[f023][0]
-                    and faces[f013][1] == faces[f023][1]
-                    and faces[f012][2] == faces[f123][0]
-                    and faces[f013][2] == faces[f123][1]
-                    and faces[f023][2] == faces[f123][2]):
-                self.tets.append((f012, f013, f023, f123))
-                return len(self.c.tets) + len(self.tets) - 1
-        raise MoveError(f"faces {candidates} admit no consistent tet ordering")
+    def add_tet(self, f012: int, f013: int, f023: int, f123: int) -> None:
+        self.tets.append((f012, f013, f023, f123))
 
     def build(self) -> OrderedComplex:
         """The surviving simplices, then the new ones, renumbered in order."""
@@ -179,31 +179,19 @@ class _Patch:
         return b.build()
 
 
-def _fresh_vertex(c: OrderedComplex, m: MoveDescriptor) -> int:
-    top = max(c.vertices) if c.vertices else -1
-    w = m.new_vertex if m.new_vertex is not None else top + 1
+def _fresh_vertex(c: OrderedComplex, w: int | None) -> int:
+    top = c.vertices[-1] if c.vertices else -1
+    if w is None:
+        return top + 1
     if w <= top:
         raise MoveError(f"new vertex {w} must exceed every existing id (max {top})")
     return w
 
 
 _TET_EDGE_POSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_APEX_OF_SLOT = {0: 3, 1: 2, 2: 1, 3: 0}  # face slot index -> opposite corner
 _SLOT_CORNERS = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-
-
-def _tet_face_by_vertexset(c: OrderedComplex, t: int, want: frozenset[int]) -> int:
-    hits = [f for f in set(c.tets[t]) if frozenset(c.face_locals[f]) == want]
-    if len(hits) != 1:
-        raise MoveError(f"tet {t} has no unique face with vertices {set(want)}")
-    return hits[0]
-
-
-def _tet_edge_by_vertexset(c: OrderedComplex, t: int, want: frozenset[int]) -> int:
-    hits = {e for e in c.tet_edge_slots(t) if frozenset(c.edges[e]) == want}
-    if len(hits) != 1:
-        raise MoveError(f"tet {t} has no unique edge with vertices {set(want)}")
-    return hits.pop()
+# the edge slots of a tet at corner p, in the order of their other corners
+_SPOKE_SLOTS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
 
 def _around_edge(c: OrderedComplex, x: int) -> tuple[tuple[int, ...], list[int]]:
@@ -215,14 +203,83 @@ def _around_edge(c: OrderedComplex, x: int) -> tuple[tuple[int, ...], list[int]]
     return faces, sorted({t for f in faces for t, _ in c.face_incidence[f]})
 
 
+def _check_new_edge(move: str, where: str, base: tuple[int, int, int],
+                    d: int, t1: int, p1: int, e: int, t2: int, p2: int) -> None:
+    """The new edge of P23/B22 between apex d (corner p1 of tet t1) and
+    apex e (corner p2 of tet t2) over a shared face with corners base.
+    Both tets order their corners as the base with the apex inserted at
+    its corner, so they put d before e when p1 < p2 and e before d when
+    p1 > p2.  The new edge runs from the smaller id; it must agree."""
+    if p1 != p2 and (p1 < p2) != (d < e):
+        first, second = (d, e) if p1 < p2 else (e, d)
+        raise MoveError(
+            f"{move} at {where}: apex {d} is corner {p1} of tet {t1} and apex {e} "
+            f"is corner {p2} of tet {t2} over corners {base}, so {first} comes "
+            f"before {second}, but the new edge runs {second}->{first}")
+
+
+def _flip(p: _Patch, tets, new_edge, new_faces, new_tets) -> _Patch:
+    """Add to p the simplices of a move on five pairwise distinct corners:
+    optionally an edge between two of them, then faces and tets given by
+    their corner sets.  Every other edge and face the new simplices use is
+    found by its corners in the input tets ``tets``.  The precondition has
+    made the edges among the five corners acyclic, so each corner's rank
+    is the number of those edges it is the tail of, and every new simplex
+    takes its corners in rank order."""
+    c = p.c
+    edge, face = {}, {}
+    for t in tets:
+        locs = c.tet_locals[t]
+        for (i, j), x in zip(_TET_EDGE_POSITIONS, c.tet_edge_slots(t)):
+            edge[frozenset((locs[i], locs[j]))] = x
+        for (i, j, k), f in zip(_SLOT_CORNERS, c.tets[t]):
+            face[frozenset((locs[i], locs[j], locs[k]))] = f
+    rank = Counter(c.edges[x][0] for x in edge.values())
+    if new_edge is not None:
+        tail, head = sorted(new_edge)
+        edge[frozenset(new_edge)] = p.add_edge(tail, head)
+        rank[tail] += 1
+
+    def ordered(corners):
+        return sorted(corners, key=rank.__getitem__, reverse=True)
+
+    for corners in new_faces:
+        u0, u1, u2 = ordered(corners)
+        face[frozenset(corners)] = p.add_face(
+            edge[frozenset((u0, u1))], edge[frozenset((u0, u2))], edge[frozenset((u1, u2))])
+    for corners in new_tets:
+        u = ordered(corners)
+        p.add_tet(*(face[frozenset((u[i], u[j], u[k]))] for i, j, k in _SLOT_CORNERS))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # P14 / B13 and P41 / B31: coning a tet from a new vertex, and its inverse
 # ---------------------------------------------------------------------------
 
-def _cone(c: OrderedComplex, t: int, w: int, skip: int | None = None) -> _Patch:
+def _check_p14(c: OrderedComplex, t: int, w: int | None):
+    if not 0 <= t < len(c.tets):
+        raise MoveError(f"no tet {t}")
+    return t, _fresh_vertex(c, w), None
+
+
+def _check_b13(c: OrderedComplex, f: int, w: int | None):
+    if not 0 <= f < len(c.faces):
+        raise MoveError(f"no face {f}")
+    inc = c.face_incidence[f]
+    if len(inc) != 1:
+        raise MoveError(f"face {f} lies in {len(inc)} tet slots; B13 needs a boundary face")
+    (t, slot), = inc
+    return t, _fresh_vertex(c, w), slot
+
+
+def _cone(c: OrderedComplex, plan) -> _Patch:
     """Replace tet t by the cone from new vertex w over its face slots: one
     new edge per corner, one new face per edge slot and one new tet per face
-    slot.  B13 skips the split boundary face's slot; that face is dropped."""
+    slot.  B13 skips the split boundary face's slot; that face is dropped.
+    w comes after every corner of t, so each new simplex keeps the slot
+    order of the simplex of t it is the cone over."""
+    t, w, skip = plan
     p = _Patch(c, faces=() if skip is None else (c.tets[t][skip],), tets=(t,))
     locs = c.tet_locals[t]
     ce = [p.add_edge(locs[i], w) for i in range(4)]
@@ -234,63 +291,92 @@ def _cone(c: OrderedComplex, t: int, w: int, skip: int | None = None) -> _Patch:
     return p
 
 
-def _patch_p14(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
-    t = m.target
-    if not 0 <= t < len(c.tets):
-        raise MoveError(f"no tet {t}")
-    return _cone(c, t, _fresh_vertex(c, m))
-
-
-def _patch_b13(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
-    f = m.target
-    if not 0 <= f < len(c.faces):
-        raise MoveError(f"no face {f}")
-    inc = c.face_incidence[f]
-    if len(inc) != 1:
-        raise MoveError(f"face {f} lies in {len(inc)} tet slots; B13 needs a boundary face")
-    (t, slot), = inc
-    return _cone(c, t, _fresh_vertex(c, m), skip=slot)
-
-
-def _uncone(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
-    """P41 and B31: drop the star of vertex v, a cone over the faces of
+def _check_uncone(c: OrderedComplex, v: int, kind: str):
+    """P41 and B31: the star of vertex v must be a cone over the faces of
     one tet (four tets, interior) or of one tet less its base (three tets,
-    on the boundary), and close it with that tet.  B31 first adds the base
-    face on the rim edges of the three boundary faces at v."""
-    v = m.target
-    star_tets = 4 if m.kind == "P41" else 3
+    on the boundary).  That closing tet has a corner for each edge at v (a
+    spoke), ordered as the spokes' far ends are in the star tets.  Its
+    face opposite a spoke is the outer face of the star tet without that
+    spoke.  For B31 the spoke in every star tet is the apex, and the face
+    opposite it is the base: a new face on the rim edges of the three
+    boundary faces at v, each rim edge lying between two spokes."""
+    star_tets = 4 if kind == "P41" else 3
     if v not in c.vertex_stars:
         raise MoveError(f"no vertex {v}")
     tets, edges, faces = c.vertex_stars[v]
     if (len(tets), len(edges), len(faces)) != (star_tets, 4, 6):
         raise MoveError(
             f"vertex {v} has star ({len(tets)} tets, {len(edges)} edges, "
-            f"{len(faces)} faces); {m.kind} needs ({star_tets}, 4, 6)")
+            f"{len(faces)} faces); {kind} needs ({star_tets}, 4, 6)")
     bdry = [f for f in faces if c.is_boundary_face(f)]
     if star_tets == 4 and bdry:
         raise MoveError(f"vertex {v} lies on the boundary")
     if star_tets == 3 and len(bdry) != 3:
         raise MoveError(f"vertex {v} lies in {len(bdry)} boundary faces; B31 needs 3")
-    # each boundary face contributes its edge not touching v
+    # each boundary face contributes its edge opposite v, between two spokes
     rim = []
     for f in bdry:
-        free = [e for e in c.faces[f] if v not in c.edges[e]]
-        if len(set(free)) != 1:
+        locs = c.face_locals[f]
+        if locs.count(v) != 1:
             raise MoveError(f"boundary face {f} at {v} has no unique rim edge")
-        rim.append(free[0])
-    if len(set(rim)) != len(rim):
+        k = locs.index(v)
+        slots = c.faces[f]
+        rim.append((frozenset(e for i, e in enumerate(slots) if i != 2 - k), slots[2 - k]))
+    if len({e for _, e in rim}) != len(rim):
         raise MoveError(f"rim edges around {v} are not distinct")
-    outer = []
+    spokes, outer = [], []
     for t in tets:
-        free = [f for f in c.tets[t] if v not in c.face_locals[f]]
-        if len(set(free)) != 1:
+        locs = c.tet_locals[t]
+        if locs.count(v) != 1:
             raise MoveError(f"tet {t} does not have a single face opposite {v}")
-        outer.append(free[0])
+        p = locs.index(v)
+        es = c.tet_edge_slots(t)
+        spokes.append(tuple(es[i] for i in _SPOKE_SLOTS[p]))
+        outer.append(c.tets[t][3 - p])
     if len(set(outer)) != star_tets:
         raise MoveError(f"outer faces around {v} are not distinct")
+
+    before = {(s[i], s[j]) for s in spokes for i, j in ((0, 1), (0, 2), (1, 2))}
+    rank = Counter(a for a, _ in before)
+    corners = sorted(edges, key=rank.__getitem__, reverse=True)
+    opposite = {}
+    for s, f in zip(spokes, outer):
+        missing = [a for a in edges if a not in s]
+        if len(missing) != 1 or missing[0] in opposite:
+            raise MoveError(f"star of vertex {v} is not a cone over one tet")
+        opposite[missing[0]] = f
+    base = None
+    if star_tets == 3:
+        apex, = set(edges) - opposite.keys()
+        r0, r1, r2 = (a for a in corners if a != apex)
+        between = dict(rim)
+        base = tuple(between.get(frozenset(pair)) for pair in ((r0, r1), (r0, r2), (r1, r2)))
+        if None in base or not _face_fits(c, base):
+            raise MoveError(f"rim edges around {v} do not close up into a face")
+    closing = tuple(opposite.get(corners[3 - s]) for s in range(4))
+    if not _tet_fits(tuple(base if f is None else c.faces[f] for f in closing)):
+        raise MoveError(f"faces around {v} do not close up into a tet")
+    return v, tets, edges, faces, base, closing
+
+
+def _face_fits(c: OrderedComplex, slots: tuple[int, int, int]) -> bool:
+    (t01, h01), (t02, h02), (t12, h12) = (c.edges[e] for e in slots)
+    return t01 == t02 and h01 == t12 and h02 == h12
+
+
+def _tet_fits(faces) -> bool:
+    f012, f013, f023, f123 = faces
+    return (f012[0] == f013[0] and f012[1] == f023[0] and f013[1] == f023[1]
+            and f012[2] == f123[0] and f013[2] == f123[1] and f023[2] == f123[2])
+
+
+def _uncone(c: OrderedComplex, plan) -> _Patch:
+    """Drop the star of v and close it with one tet on the outer faces
+    (and, for B31, on a new base face)."""
+    v, tets, edges, faces, base, closing = plan
     p = _Patch(c, vertices=(v,), edges=edges, faces=faces, tets=tets)
-    closing = [p.add_face(*rim)] if rim else []
-    p.add_tet(*closing, *outer)
+    new_base = p.add_face(*base) if base is not None else None
+    p.add_tet(*(new_base if f is None else f for f in closing))
     return p
 
 
@@ -298,8 +384,7 @@ def _uncone(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
 # P23 / P32
 # ---------------------------------------------------------------------------
 
-def _patch_p23(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
-    f = m.target
+def _check_p23(c: OrderedComplex, f: int, _w=None):
     if not 0 <= f < len(c.faces):
         raise MoveError(f"no face {f}")
     inc = c.face_incidence[f]
@@ -308,27 +393,25 @@ def _patch_p23(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     (t1, s1), (t2, s2) = inc
     if t1 == t2:
         raise MoveError(f"face {f} is glued to tet {t1} twice")
-    a, bb, cc = c.face_locals[f]
-    d = c.tet_locals[t1][_APEX_OF_SLOT[s1]]
-    e = c.tet_locals[t2][_APEX_OF_SLOT[s2]]
-    corners = (a, bb, cc, d, e)
+    base = c.face_locals[f]
+    p1, p2 = 3 - s1, 3 - s2  # the corner opposite each tet's slot of f
+    d = c.tet_locals[t1][p1]
+    e = c.tet_locals[t2][p2]
+    corners = (*base, d, e)
     if len(set(corners)) != 5:
         raise MoveError(f"P23 configuration at face {f} is not embedded: corners {corners}")
-
-    p = _Patch(c, faces=(f,), tets=(t1, t2))
-    de = p.add_edge(min(d, e), max(d, e))
-    side = {}
-    for x in (a, bb, cc):
-        side[x] = p.add_face(_tet_edge_by_vertexset(c, t1, frozenset({x, d})),
-                             _tet_edge_by_vertexset(c, t2, frozenset({x, e})), de)
-    for x, y in ((a, bb), (a, cc), (bb, cc)):
-        p.add_tet(_tet_face_by_vertexset(c, t1, frozenset({x, y, d})),
-                  _tet_face_by_vertexset(c, t2, frozenset({x, y, e})), side[x], side[y])
-    return p
+    _check_new_edge("P23", f"face {f}", base, d, t1, p1, e, t2, p2)
+    return f, t1, t2, base, d, e
 
 
-def _patch_p32(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
-    x = m.target
+def _patch_p23(c: OrderedComplex, plan) -> _Patch:
+    f, t1, t2, (a, b, cc), d, e = plan
+    return _flip(_Patch(c, faces=(f,), tets=(t1, t2)), (t1, t2), (d, e),
+                 [(x, d, e) for x in (a, b, cc)],
+                 [(x, y, d, e) for x, y in ((a, b), (a, cc), (b, cc))])
+
+
+def _check_p32(c: OrderedComplex, x: int, _w=None):
     around_faces, around_tets = _around_edge(c, x)
     d, e = c.edges[x]
     if len(around_faces) != 3 or len(around_tets) != 3:
@@ -346,55 +429,43 @@ def _patch_p32(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     corners = (d, e, *outer_corners)
     if len(set(corners)) != 5:
         raise MoveError(f"P32 configuration at edge {x} is not embedded: corners {corners}")
-    aa, bb, cc = outer_corners
-    pairs = [frozenset(pr) for pr in ((aa, bb), (aa, cc), (bb, cc))]
-
-    # match tets to corner pairs and collect outer faces/edges
-    pair_of_tet = {}
+    pairs = set()
+    tails = set()
     for t in around_tets:
-        vs = set(c.tet_locals[t])
-        pair = frozenset(vs - {d, e})
-        if len(vs) != 4 or len(pair) != 2 or not pair <= {aa, bb, cc}:
+        locs = c.tet_locals[t]
+        pair = frozenset(locs) - {d, e}
+        if len(set(locs)) != 4 or len(pair) != 2 or not pair <= set(outer_corners):
             raise MoveError(f"tet {t} around edge {x} is not part of a bipyramid")
-        pair_of_tet[t] = pair
-    if set(pair_of_tet.values()) != set(pairs):
+        pairs.add(pair)
+        # t's base edge is its edge slot opposite x
+        x_slot = _TET_EDGE_POSITIONS.index(tuple(sorted((locs.index(d), locs.index(e)))))
+        tails.add(c.edges[c.tet_edge_slots(t)[5 - x_slot]][0])
+    if len(pairs) != 3:
         raise MoveError(f"tets around edge {x} do not form a bipyramid")
+    if len(tails) == 3:
+        raise MoveError(
+            f"P32 at edge {x}: the base edges run around a cycle through corners "
+            f"{tuple(outer_corners)}, so the base face has no slot order")
+    return x, d, e, tuple(outer_corners), around_faces, around_tets
 
-    base_edges = {}
-    for t, pair in pair_of_tet.items():
-        base_edges[pair] = _tet_edge_by_vertexset(c, t, pair)
-    outer_face = {}
-    for t, pair in pair_of_tet.items():
-        for apex in (d, e):
-            outer_face[(pair, apex)] = _tet_face_by_vertexset(
-                c, t, frozenset(pair | {apex}))
 
-    p = _Patch(c, edges=(x,), faces=around_faces, tets=around_tets)
-    base = p.add_face(*(base_edges[pr] for pr in pairs))
-    for apex in (d, e):
-        p.add_tet(base, *(outer_face[(pr, apex)] for pr in pairs))
-    return p
+def _patch_p32(c: OrderedComplex, plan) -> _Patch:
+    x, d, e, base, around_faces, around_tets = plan
+    return _flip(_Patch(c, edges=(x,), faces=around_faces, tets=around_tets),
+                 around_tets, None, [base], [(*base, apex) for apex in (d, e)])
 
 
 # ---------------------------------------------------------------------------
 # B22
 # ---------------------------------------------------------------------------
 
-def _face_corner_opposite_edge(c: OrderedComplex, f: int, e: int) -> int:
-    e01, e02, e12 = c.faces[f]
-    if e == e01:
-        return c.face_locals[f][2]
-    if e == e02:
-        return c.face_locals[f][1]
-    if e == e12:
-        return c.face_locals[f][0]
-    raise MoveError(f"edge {e} is not a slot of face {f}")
+def _corner_opposite(c: OrderedComplex, f: int, e: int) -> int:
+    """The corner of face f opposite the first of its edge slots holding e."""
+    return c.face_locals[f][2 - c.faces[f].index(e)]
 
 
-def _patch_b22(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
-    x = m.target
+def _check_b22(c: OrderedComplex, x: int, _w=None):
     around_faces, around_tets = _around_edge(c, x)
-    d_tail, d_head = c.edges[x]
     if len(around_tets) != 2 or len(around_faces) != 3:
         raise MoveError(
             f"edge {x} has {len(around_faces)} faces and {len(around_tets)} tets; "
@@ -413,35 +484,35 @@ def _patch_b22(c: OrderedComplex, m: MoveDescriptor) -> _Patch:
     if f_q not in c.tets[t1] or f_r not in c.tets[t2]:
         raise MoveError(f"boundary faces around edge {x} are not one per tet")
 
-    p = _face_corner_opposite_edge(c, f_sh, x)
-    q = _face_corner_opposite_edge(c, f_q, x)
-    r = _face_corner_opposite_edge(c, f_r, x)
+    d_tail, d_head = c.edges[x]
+    p = _corner_opposite(c, f_sh, x)
+    q = _corner_opposite(c, f_q, x)
+    r = _corner_opposite(c, f_r, x)
     corners = (d_tail, d_head, p, q, r)
     if len(set(corners)) != 5:
         raise MoveError(f"B22 configuration at edge {x} is not embedded: corners {corners}")
-
-    surv1 = {y: _tet_face_by_vertexset(c, t1, frozenset({p, y, q})) for y in (d_tail, d_head)}
-    surv2 = {y: _tet_face_by_vertexset(c, t2, frozenset({p, y, r})) for y in (d_tail, d_head)}
-    pq = _tet_edge_by_vertexset(c, t1, frozenset({p, q}))
-    pr = _tet_edge_by_vertexset(c, t2, frozenset({p, r}))
-    yq = {y: _tet_edge_by_vertexset(c, t1, frozenset({y, q})) for y in (d_tail, d_head)}
-    yr = {y: _tet_edge_by_vertexset(c, t2, frozenset({y, r})) for y in (d_tail, d_head)}
-
-    patch = _Patch(c, edges=(x,), faces=(f_sh, f_q, f_r), tets=(t1, t2))
-    qr = patch.add_edge(min(q, r), max(q, r))
-    mid = patch.add_face(pq, pr, qr)
-    new_wing = {y: patch.add_face(yq[y], yr[y], qr) for y in (d_tail, d_head)}
-    for y in (d_tail, d_head):
-        patch.add_tet(surv1[y], surv2[y], mid, new_wing[y])
-    return patch
+    # t1 and t2 are the shared face with q and with r inserted
+    _check_new_edge("B22", f"edge {x}", c.face_locals[f_sh],
+                    q, t1, c.tet_locals[t1].index(q), r, t2, c.tet_locals[t2].index(r))
+    return x, (f_sh, f_q, f_r), t1, t2, p, q, r
 
 
-_PATCHES = {
-    "P14": _patch_p14,
-    "P41": _uncone,
-    "P23": _patch_p23,
-    "P32": _patch_p32,
-    "B13": _patch_b13,
-    "B31": _uncone,
-    "B22": _patch_b22,
+def _patch_b22(c: OrderedComplex, plan) -> _Patch:
+    x, faces, t1, t2, p, q, r = plan
+    d_tail, d_head = c.edges[x]
+    return _flip(_Patch(c, edges=(x,), faces=faces, tets=(t1, t2)), (t1, t2), (q, r),
+                 [(p, q, r)] + [(y, q, r) for y in (d_tail, d_head)],
+                 [(p, y, q, r) for y in (d_tail, d_head)])
+
+
+# each kind's precondition, which raises MoveError or returns what its
+# assembly needs, and its assembly, which cannot fail
+_MOVES = {
+    "P14": (_check_p14, _cone),
+    "P41": (lambda c, v, _w=None: _check_uncone(c, v, "P41"), _uncone),
+    "P23": (_check_p23, _patch_p23),
+    "P32": (_check_p32, _patch_p32),
+    "B13": (_check_b13, _cone),
+    "B31": (lambda c, v, _w=None: _check_uncone(c, v, "B31"), _uncone),
+    "B22": (_check_b22, _patch_b22),
 }

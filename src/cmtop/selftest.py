@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .complexes import relabel, validate_manifold_basics
-from .crossed_modules import CrossedModule, validate
+from .crossed_modules import CrossedModule, make_crossed_module, validate
 from .fileio import FormatError, format_crossed_module, parse_complex, parse_crossed_module
 from .groups import GroupHom, build_cyclic, build_symmetric
 from .knot_words import BUILTIN_WORDS, count_reps, verify_41_system, word_state_sum
@@ -164,7 +164,21 @@ def criterion_4_move_invariance():
     if missing:
         return False, f"kinds {sorted(missing)} apply to no trial complex", None
     return True, (f"{checks} checks (every applicable move x every crossed module) "
-                  f"exactly invariant (kinds {sorted(kinds_seen)})"), None
+                  f"exactly invariant (kinds {sorted(kinds_seen)})"), _non_peiffer_finding()
+
+
+def _non_peiffer_finding() -> str:
+    """Without the Peiffer identity Z is not a triangulation invariant:
+    Z/4 -> Z/2 with the negation action on S^3, before and after one P41
+    and one P32 move.  invariant computes this module with the oracle."""
+    cm = make_crossed_module(build_cyclic(4), build_cyclic(2), [0, 1, 0, 1],
+                             [list(range(4)), [-y % 4 for y in range(4)]], "z4z2_negation")
+    s3 = fixtures.s3_boundary_4simplex()
+    values = [invariant(cm, c).value for c in
+              (s3, *(apply(s3, enumerate_applicable(s3, kind)[0]) for kind in ("P41", "P32")))]
+    return (f"without the Peiffer identity Z depends on the triangulation: Z/4 -> Z/2 "
+            f"with the negation action gives Z = {values[0]} on s3_boundary_4simplex, "
+            f"{values[1]} after one P41 and {values[2]} after one P32")
 
 
 # --- criterion 5: order invariance --------------------------------------------

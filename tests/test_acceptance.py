@@ -40,6 +40,10 @@ def test_criterion_04_move_invariance():
     assert result.details.startswith(f"{moves * len(fixtures.CM_NAMES)} checks ")
     assert len(MOVE_DELTAS) == 7
     assert f"kinds {sorted(MOVE_DELTAS)}" in result.details
+    # a module without the Peiffer identity is not move invariant; the
+    # values are reported, not hidden
+    assert result.finding.endswith(
+        "Z = 3/2 on s3_boundary_4simplex, 2 after one P41 and 2 after one P32")
 
 
 def test_criterion_05_order_invariance():

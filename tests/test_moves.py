@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cmtop import fixtures
+from cmtop import fixtures, moves
 from cmtop.complexes import ComplexBuilder, are_isomorphic, relabel, validate_manifold_basics
 from cmtop.moves import (
     INVERSE_KIND,
@@ -198,14 +198,58 @@ def test_all_outputs_keep_slot_invariants():
 
 
 def test_enumeration_builds_nothing(monkeypatch):
+    # enumeration decides each candidate from its precondition alone: it
+    # neither assembles a patch nor builds a complex, for any kind
     *_, c = walk("s2_interval", seed=1)
 
-    def refuse(self):
-        raise AssertionError("enumerate_applicable built a complex")
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_applicable assembled or built a move")
 
+    monkeypatch.setattr(moves, "_Patch", refuse)
     monkeypatch.setattr(ComplexBuilder, "build", refuse)
     found = {kind: enumerate_applicable(c, kind) for kind in MOVE_KINDS}
-    assert all(found[kind] for kind in ("P14", "P23", "P32", "B13", "B22")), found
+    assert all(found.values()), found
+    with pytest.raises(AssertionError, match="assembled or built"):
+        apply(c, found["P41"][0])
+
+
+def test_p23_refused_by_the_new_edge_direction_alone():
+    # two_tet_ball is (1,2,3,4) and (2,3,4,5) on face (2,3,4): apex 1 is
+    # corner 0 of tet 0 and apex 5 is corner 3 of tet 1.  Swapping the two
+    # ids in Δ-mode keeps every slot, so the tets still put the first apex
+    # first, now 5 before 1, while the new edge runs from the smaller id
+    two = fixtures.two_tet_ball()
+    f, = (f for f in range(len(two.faces)) if not two.is_boundary_face(f))
+    assert enumerate_applicable(two, "P23") == [MoveDescriptor("P23", f)]
+    swapped = relabel(replace(two, simplicial=False), {1: 5, 2: 2, 3: 3, 4: 4, 5: 1})
+    assert enumerate_applicable(swapped, "P23") == []
+    with pytest.raises(MoveError, match=(
+            rf"P23 at face {f}: apex 5 is corner 0 of tet 0 and apex 1 is corner 3 "
+            r"of tet 1 over corners \(2, 3, 4\), so 5 comes before 1, but the new "
+            r"edge runs 1->5")):
+        apply(swapped, MoveDescriptor("P23", f))
+
+
+def test_b31_undoes_b13_whatever_the_face_numbering():
+    # B13 on a solid torus face leaves two parallel rim edges around the
+    # new vertex 4, so the base face on the rim has two endpoint-consistent
+    # slot orders and only one closes the tet.  B31 takes the one its
+    # spokes give, whatever order the boundary faces are numbered in
+    torus = fixtures.solid_torus()
+    for f in torus.boundary_face_indices():
+        out = apply(torus, MoveDescriptor("B13", f, 4))
+        b = ComplexBuilder()
+        for e in out.edges:
+            b.add_edge(*e)
+        for slots in reversed(out.faces):
+            b.add_face(*slots)
+        last = len(out.faces) - 1
+        for slots in out.tets:
+            b.add_tet(*(last - g for g in slots))
+        reversed_faces = b.build()
+        for c in (out, reversed_faces):
+            assert MoveDescriptor("B31", 4) in enumerate_applicable(c, "B31")
+            assert are_isomorphic(apply(c, MoveDescriptor("B31", 4)), torus)
 
 
 def test_inverse_kind_table():

@@ -422,6 +422,15 @@ def _z8_to_z2():
                         "z8_to_z2")
 
 
+def _cyclic_times(n, k):
+    """Z/n -> Z/n, y -> k y, with the trivial action.  The boundary is not
+    onto, so it pins no edge, and its image has order n / k, above 2.  On
+    the closed S^2 x S^1 and RP^3 this reaches the constant terms of the
+    engine's tet rows, which a boundary onto Z/2 does not."""
+    return reduction_cm(build_cyclic(n), build_cyclic(n), [k * y % n for y in range(n)],
+                        f"z{n}_times_{k}")
+
+
 def _z4_negated_over_z2():
     """Z/4 over Z/2 with the trivial boundary and the negation action: the
     kernel is all of Z/4, and the holonomy twists it."""
@@ -512,8 +521,10 @@ def test_every_face_counting_path_matches_the_oracle():
     # give 16.  The non-Peiffer rows pin the oracle's N.
     complexes = {**{name: build() for name, build in fixtures.COMPLEXES.items()},
                  **_closed_two_tet_manifolds(), "fgfg": _fgfg()}
+    order_2 = _z4_with_an_order_2_generator()
+    image_above_2 = [_cyclic_times(8, 2), _cyclic_times(9, 3)]
     extra = [_z8_to_z2(), _z4_negated_over_z2(), _z4_z2_negation(), _s3_sign(),
-             *_z4_with_an_order_2_generator()]
+             *order_2, *image_above_2]
     checked, pinned = [], []
     for cm in extra + fixtures.all_crossed_modules():
         for name, c in complexes.items():
@@ -529,10 +540,13 @@ def test_every_face_counting_path_matches_the_oracle():
             else:
                 assert invariant(cm, c) == slow, (cm.name, name)
             checked.append((cm.name, name))
-            if name == "fgfg" and cm in extra[-2:]:
+            if name == "fgfg" and cm in order_2:
                 assert slow.admissible_count == 8
     # every pinned row ran; s2_interval_big is past int64 under both modules
-    assert len(pinned) == 18 and len(checked) == 81, checked
+    assert len(pinned) == 18 and len(checked) == 93, checked
+    # image orders 4 and 3: the closed manifolds' values, engine and oracle
+    assert [invariant(cm, complexes[name]).value for cm in image_above_2
+            for name in ("s2_s1", "rp3")] == [2, 2, 3, 1]
 
 
 def test_noncentral_kernel_paths():
