@@ -252,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (moves.MoveError, statesum.BudgetExceededError,
+    except (fileio.FormatError, OSError, moves.MoveError, statesum.BudgetExceededError,
             statesum.SearchBudgetExceededError, RecursionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,11 +2,12 @@
 
 The internal representation is slot-based: an edge is a (tail, head) pair of
 vertex ids, a face is three edge slots (01),(02),(12), a tet is four face
-slots (012),(013),(023),(123).  Slots must agree on shared sub-simplices,
-which is checked at construction.  Simplicial complexes (distinct vertices,
-everything determined by vertex subsets) are a constructor view on top;
-singular triangulations with identified simplices, parallel edges and loops
-are first-class, because the fixtures for D²×S¹ and S²×[0,1] need them.
+slots (012),(013),(023),(123).  Slots must agree on shared sub-simplices
+(the face and tet slot rules below, which ComplexBuilder checks).
+Simplicial complexes (distinct vertices, everything determined by vertex
+subsets) are a constructor view on top; singular triangulations with
+identified simplices, parallel edges and loops are first-class, because
+the fixtures for D²×S¹ and S²×[0,1] need them.
 
 Local vertex order of a simplex is carried by its slot structure, never
 recomputed from vertex ids, so identified vertices are harmless.
@@ -14,7 +15,7 @@ recomputed from vertex ids, so identified vertices are harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -51,17 +52,17 @@ class SimplexCounts:
 
 @dataclass(frozen=True)
 class OrderedComplex:
-    """An ordered Δ-complex.  Immutable; moves produce new complexes."""
+    """An ordered Δ-complex.  Immutable; moves produce new complexes.
+
+    The four slot tables are the whole complex; every index below is
+    derived from them on first use.  Constructing one directly checks
+    nothing: callers either hold tables that satisfy the slot rules or go
+    through ComplexBuilder."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     faces: tuple[tuple[int, int, int], ...]
     tets: tuple[tuple[int, int, int, int], ...]
-    # derived, filled by ComplexBuilder.build()
-    face_locals: tuple[tuple[int, int, int], ...] = field(repr=False, default=())
-    tet_locals: tuple[tuple[int, int, int, int], ...] = field(repr=False, default=())
-    face_incidence: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, default=())
-    simplicial: bool = False
 
     @property
     def counts(self) -> SimplexCounts:
@@ -85,6 +86,40 @@ class OrderedComplex:
             self.faces[f013][2],  # 13
             self.faces[f023][2],  # 23
         )
+
+    @cached_property
+    def face_locals(self) -> tuple[tuple[int, int, int], ...]:
+        """For each face, its corners (v0, v1, v2) in slot order."""
+        E = self.edges
+        return tuple((*E[e01], E[e02][1]) for e01, e02, _ in self.faces)
+
+    @cached_property
+    def tet_locals(self) -> tuple[tuple[int, int, int, int], ...]:
+        """For each tet, its corners (v0, v1, v2, v3) in slot order."""
+        locs = self.face_locals
+        return tuple((*locs[f012], locs[f013][2]) for f012, f013, _, _ in self.tets)
+
+    @cached_property
+    def face_incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each face, the (tet, slot) pairs that hold it, in tet order."""
+        out: list[list[tuple[int, int]]] = [[] for _ in self.faces]
+        for t, slots in enumerate(self.tets):
+            for s, f in enumerate(slots):
+                out[f].append((t, s))
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def simplicial(self) -> bool:
+        """Every simplex has strictly ascending corners, and no two
+        simplices of one dimension have the same corners."""
+        if any(not t < h for t, h in self.edges):
+            return False
+        if any(not (a < b < c) for a, b, c in self.face_locals):
+            return False
+        if any(not (a < b < c < d) for a, b, c, d in self.tet_locals):
+            return False
+        return all(len(set(entities)) == len(entities)
+                   for entities in (self.edges, self.face_locals, self.tet_locals))
 
     @cached_property
     def edge_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -116,6 +151,37 @@ class OrderedComplex:
         return f"OrderedComplex({kind}, V={c.k0}, E={c.k1}, F={c.k2}, T={c.k3})"
 
 
+def face_slot_error(edges: Sequence[tuple[int, int]], slots: Sequence[int]) -> str | None:
+    """The face rule.  A face's edge slots (01),(02),(12), indices into
+    ``edges``, must run v0->v1, v0->v2 and v1->v2.  Returns why they do
+    not, or None when they do."""
+    e01, e02, e12 = slots
+    (t01, h01), (t02, h02), (t12, h12) = edges[e01], edges[e02], edges[e12]
+    if t01 == t02 and h01 == t12 and h02 == h12:
+        return None
+    return (f"face edges ({e01},{e02},{e12}) do not share endpoints consistently: "
+            f"{edges[e01]}, {edges[e02]}, {edges[e12]}")
+
+
+def tet_slot_error(faces, slots: Sequence[int]) -> str | None:
+    """The tet rule.  Each of a tet's six edge slots lies in two of its face
+    slots (012),(013),(023),(123), keys of ``faces``, and both must hold the
+    same edge there.  Returns the first disagreement, or None."""
+    f012, f013, f023, f123 = (faces[f] for f in slots)
+    for a, b, slot in ((f012[0], f013[0], "01"), (f012[1], f023[0], "02"),
+                       (f013[1], f023[1], "03"), (f012[2], f123[0], "12"),
+                       (f013[2], f123[1], "13"), (f023[2], f123[2], "23")):
+        if a != b:
+            return (f"tet faces ({','.join(map(str, slots))}) disagree on edge {slot}: "
+                    f"{a} vs {b}")
+    return None
+
+
+def _check_vertex_id(v) -> None:
+    if not isinstance(v, int) or v < 0:
+        raise ComplexStructureError(f"vertex ids must be nonnegative integers, got {v!r}")
+
+
 class ComplexBuilder:
     """Incremental constructor enforcing slot compatibility."""
 
@@ -126,8 +192,7 @@ class ComplexBuilder:
         self._tets: list[tuple[int, int, int, int]] = []
 
     def add_vertex(self, v: int) -> int:
-        if not isinstance(v, int) or v < 0:
-            raise ComplexStructureError(f"vertex ids must be nonnegative integers, got {v!r}")
+        _check_vertex_id(v)
         self._vertices.add(v)
         return v
 
@@ -141,13 +206,9 @@ class ComplexBuilder:
         for e in (e01, e02, e12):
             if not 0 <= e < len(self._edges):
                 raise ComplexStructureError(f"face references unknown edge {e}")
-        t01, h01 = self._edges[e01]
-        t02, h02 = self._edges[e02]
-        t12, h12 = self._edges[e12]
-        if not (t01 == t02 and h01 == t12 and h02 == h12):
-            raise ComplexStructureError(
-                f"face edges ({e01},{e02},{e12}) do not share endpoints consistently: "
-                f"{self._edges[e01]}, {self._edges[e02]}, {self._edges[e12]}")
+        error = face_slot_error(self._edges, (e01, e02, e12))
+        if error:
+            raise ComplexStructureError(error)
         self._faces.append((e01, e02, e12))
         return len(self._faces) - 1
 
@@ -155,59 +216,15 @@ class ComplexBuilder:
         for f in (f012, f013, f023, f123):
             if not 0 <= f < len(self._faces):
                 raise ComplexStructureError(f"tet references unknown face {f}")
-        F = self._faces
-        conditions = [
-            (F[f012][0], F[f013][0], "01"),
-            (F[f012][1], F[f023][0], "02"),
-            (F[f013][1], F[f023][1], "03"),
-            (F[f012][2], F[f123][0], "12"),
-            (F[f013][2], F[f123][1], "13"),
-            (F[f023][2], F[f123][2], "23"),
-        ]
-        for a, b, slot in conditions:
-            if a != b:
-                raise ComplexStructureError(
-                    f"tet faces ({f012},{f013},{f023},{f123}) disagree on edge {slot}: "
-                    f"{a} vs {b}")
+        error = tet_slot_error(self._faces, (f012, f013, f023, f123))
+        if error:
+            raise ComplexStructureError(error)
         self._tets.append((f012, f013, f023, f123))
         return len(self._tets) - 1
 
     def build(self) -> OrderedComplex:
-        face_locals = []
-        for e01, e02, e12 in self._faces:
-            face_locals.append((self._edges[e01][0], self._edges[e01][1],
-                                self._edges[e02][1]))
-        tet_locals = []
-        for f012, f013, _f023, _f123 in self._tets:
-            v0, v1, v2 = face_locals[f012]
-            tet_locals.append((v0, v1, v2, face_locals[f013][2]))
-        incidence: list[list[tuple[int, int]]] = [[] for _ in self._faces]
-        for t, slots in enumerate(self._tets):
-            for s, f in enumerate(slots):
-                incidence[f].append((t, s))
-        simplicial = self._is_simplicial(face_locals, tet_locals)
-        return OrderedComplex(
-            vertices=tuple(sorted(self._vertices)),
-            edges=tuple(self._edges),
-            faces=tuple(self._faces),
-            tets=tuple(self._tets),
-            face_locals=tuple(face_locals),
-            tet_locals=tuple(tet_locals),
-            face_incidence=tuple(tuple(i) for i in incidence),
-            simplicial=simplicial,
-        )
-
-    def _is_simplicial(self, face_locals, tet_locals) -> bool:
-        if any(not t < h for t, h in self._edges):
-            return False
-        if any(not (a < b < c) for a, b, c in face_locals):
-            return False
-        if any(not (a < b < c < d) for a, b, c, d in tet_locals):
-            return False
-        for entities in (self._edges, face_locals, tet_locals):
-            if len(set(entities)) != len(entities):
-                return False
-        return True
+        return OrderedComplex(tuple(sorted(self._vertices)), tuple(self._edges),
+                              tuple(self._faces), tuple(self._tets))
 
 
 def from_tet_list(tets: Iterable[Sequence[int]]) -> OrderedComplex:
@@ -288,14 +305,9 @@ def validate_manifold_basics(c: OrderedComplex) -> list[str]:
         if len(inc) > 2:
             report.append(f"face {f} lies in {len(inc)} tet slots (max 2): {inc}")
     if c.tets:
-        used_faces = {f for slots in c.tets for f in slots}
-        for f in range(len(c.faces)):
-            if f not in used_faces:
-                report.append(f"face {f} belongs to no tet")
-        used_edges = {e for f in used_faces for e in c.faces[f]}
-        for e in range(len(c.edges)):
-            if e not in used_edges:
-                report.append(f"edge {e} belongs to no face")
+        stray_faces, stray_edges = _uncovered(c)
+        report.extend(f"face {f} belongs to no tet" for f in stray_faces)
+        report.extend(f"edge {e} belongs to no face" for e in stray_edges)
         # tet connectivity through shared faces
         adj: dict[int, set[int]] = {t: set() for t in range(len(c.tets))}
         for inc in c.face_incidence:
@@ -346,12 +358,23 @@ def _simplicial_edge_link_report(c: OrderedComplex) -> list[str]:
     return report
 
 
+def _uncovered(c: OrderedComplex) -> tuple[list[int], list[int]]:
+    """The faces that lie in no tet, and the edges that lie in no face of
+    a tet."""
+    faces = [f for f, inc in enumerate(c.face_incidence) if not inc]
+    edges = [e for e, around in enumerate(c.edge_faces)
+             if not any(c.face_incidence[f] for f in around)]
+    return faces, edges
+
+
 def relabel(c: OrderedComplex, permutation: Mapping[int, int] | Callable[[int], int]) -> OrderedComplex:
     """Rename vertices under a bijection of vertex ids.
 
-    In simplicial mode the complex is rebuilt, so every simplex is re-sorted
-    under the new total order and the slot wiring genuinely changes.  In
-    Δ-mode the slot structure is the data, so only ids are renamed.
+    In simplicial mode, when every face and edge lies under a tet, the
+    complex is rebuilt from its tets, so every simplex is re-sorted under
+    the new total order and the slot wiring genuinely changes.  Otherwise
+    the slot structure is the data: only the edge endpoints are renamed,
+    and faces and tets are kept as they are.
     """
     if callable(permutation):
         perm = {v: permutation(v) for v in c.vertices}
@@ -361,52 +384,23 @@ def relabel(c: OrderedComplex, permutation: Mapping[int, int] | Callable[[int], 
         raise ValueError("permutation domain must be exactly the vertex set")
     if len(set(perm.values())) != len(perm):
         raise ValueError("permutation must be injective")
-    if c.simplicial and c.tets and _fully_covered(c):
+    for v in perm.values():
+        _check_vertex_id(v)
+    if c.simplicial and c.tets and not any(_uncovered(c)):
         return from_tet_list([tuple(perm[v] for v in tl) for tl in c.tet_locals])
-    builder = ComplexBuilder()
-    for v in c.vertices:
-        builder.add_vertex(perm[v])
-    for t, h in c.edges:
-        builder.add_edge(perm[t], perm[h])
-    for e01, e02, e12 in c.faces:
-        builder.add_face(e01, e02, e12)
-    for slots in c.tets:
-        builder.add_tet(*slots)
-    return builder.build()
-
-
-def _fully_covered(c: OrderedComplex) -> bool:
-    """True when every edge and face lies under some tet, so rebuilding
-    from the tet list loses nothing."""
-    used_faces = {f for slots in c.tets for f in slots}
-    if len(used_faces) != len(c.faces):
-        return False
-    used_edges = {e for f in used_faces for e in c.faces[f]}
-    return len(used_edges) == len(c.edges)
+    return OrderedComplex(tuple(sorted(perm.values())),
+                          tuple((perm[t], perm[h]) for t, h in c.edges), c.faces, c.tets)
 
 
 def disjoint_union(a: OrderedComplex, b: OrderedComplex) -> OrderedComplex:
     """a ⊔ b with b's vertex ids shifted above a's."""
     shift = (max(a.vertices) + 1 - min(b.vertices)) if a.vertices and b.vertices else 0
-    builder = ComplexBuilder()
-    for v in a.vertices:
-        builder.add_vertex(v)
-    for v in b.vertices:
-        builder.add_vertex(v + shift)
-    for t, h in a.edges:
-        builder.add_edge(t, h)
-    for t, h in b.edges:
-        builder.add_edge(t + shift, h + shift)
     ne, nf = len(a.edges), len(a.faces)
-    for e01, e02, e12 in a.faces:
-        builder.add_face(e01, e02, e12)
-    for e01, e02, e12 in b.faces:
-        builder.add_face(e01 + ne, e02 + ne, e12 + ne)
-    for slots in a.tets:
-        builder.add_tet(*slots)
-    for slots in b.tets:
-        builder.add_tet(*(f + nf for f in slots))
-    return builder.build()
+    return OrderedComplex(
+        tuple(sorted({*a.vertices, *(v + shift for v in b.vertices)})),
+        a.edges + tuple((t + shift, h + shift) for t, h in b.edges),
+        a.faces + tuple(tuple(e + ne for e in slots) for slots in b.faces),
+        a.tets + tuple(tuple(f + nf for f in slots) for slots in b.tets))
 
 
 def prism_product(

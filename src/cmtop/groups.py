@@ -88,9 +88,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def word(self, *elts: int) -> int:
         """Left-to-right product of the given elements."""
         acc = 0

@@ -23,8 +23,10 @@ so it decides each candidate without assembling a patch, let alone
 building a complex.  ``apply`` runs the precondition, then the assembly,
 which puts the move together as a patch against its input (the simplices
 it drops and the ones it adds, each new face and tet given its slot order
-directly), then builds the patch, where ComplexBuilder checks every slot
-once more.  Indices named in a MoveError refer to the input complex.
+directly), then builds the patch: the surviving simplices are renumbered,
+which keeps every slot agreement they had, and only the new faces and
+tets are checked against the slot rules of ``complexes``.  Indices named
+in a MoveError refer to the input complex.
 
 Beyond incidence and embedding, the preconditions check orientation: each
 new face and tet needs a slot order, so the edges among its corners must
@@ -52,9 +54,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
-from .complexes import ComplexBuilder, OrderedComplex
+from .complexes import ComplexStructureError, OrderedComplex, face_slot_error, tet_slot_error
 
 MOVE_KINDS = ("P14", "P41", "P23", "P32", "B13", "B31", "B22")
 
@@ -99,7 +100,7 @@ class MoveDescriptor:
 
 
 def apply(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    precondition, assembly = _MOVES[m.kind]
+    _, precondition, assembly = _MOVES[m.kind]
     return assembly(c, precondition(c, m.target, m.new_vertex)).build()
 
 
@@ -107,22 +108,10 @@ def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
     """Every descriptor of the given kind whose precondition holds."""
     if kind not in _MOVES:
         raise MoveError(f"unknown move kind {kind!r}")
-    fresh = c.vertices[-1] + 1 if c.vertices else 0
-    targets: Iterable[int]
-    if kind == "P14":
-        targets = range(len(c.tets))
-    elif kind == "B13":
-        targets = c.boundary_face_indices()
-    elif kind == "P23":
-        targets = [f for f in range(len(c.faces)) if not c.is_boundary_face(f)]
-    elif kind == "P32" or kind == "B22":
-        targets = range(len(c.edges))
-    else:
-        targets = c.vertices
-    new_vertex = fresh if kind in ("P14", "B13") else None
-    precondition = _MOVES[kind][0]
+    targets, precondition, _ = _MOVES[kind]
+    new_vertex = _fresh_vertex(c, None) if kind in ("P14", "B13") else None
     out = []
-    for x in targets:
+    for x in targets(c):
         try:
             precondition(c, x, new_vertex)
         except MoveError:
@@ -143,6 +132,7 @@ class _Patch:
     def __init__(self, c: OrderedComplex, vertices=(), edges=(), faces=(), tets=()):
         self.c = c
         self.drop = (set(vertices), set(edges), set(faces), set(tets))
+        self.vertices: list[int] = []
         self.edges: list[tuple[int, int]] = []
         self.faces: list[tuple[int, int, int]] = []
         self.tets: list[tuple[int, int, int, int]] = []
@@ -159,24 +149,34 @@ class _Patch:
         self.tets.append((f012, f013, f023, f123))
 
     def build(self) -> OrderedComplex:
-        """The surviving simplices, then the new ones, renumbered in order."""
+        """The surviving simplices, then the new ones, renumbered in order.
+        Renumbering is a bijection onto the kept simplices, so a survivor
+        keeps every slot agreement it had (one whose slot names a dropped
+        simplex fails the lookup); only the new faces and tets are checked
+        against the slot rules."""
         c = self.c
         drop_v, drop_e, drop_f, drop_t = self.drop
-        b = ComplexBuilder()
-        for v in c.vertices:
-            if v not in drop_v:
-                b.add_vertex(v)
-        new_e, new_f = {}, {}
-        for e, (tail, head) in enumerate(itertools.chain(c.edges, self.edges)):
-            if e not in drop_e:
-                new_e[e] = b.add_edge(tail, head)
-        for f, slots in enumerate(itertools.chain(c.faces, self.faces)):
-            if f not in drop_f:
-                new_f[f] = b.add_face(*(new_e[e] for e in slots))
-        for t, slots in enumerate(itertools.chain(c.tets, self.tets)):
-            if t not in drop_t:
-                b.add_tet(*(new_f[f] for f in slots))
-        return b.build()
+
+        def kept(old, new, drop):
+            return [(i, s) for i, s in enumerate(itertools.chain(old, new)) if i not in drop]
+
+        edges = kept(c.edges, self.edges, drop_e)
+        faces = kept(c.faces, self.faces, drop_f)
+        tets = kept(c.tets, self.tets, drop_t)
+        new_e = {e: i for i, (e, _) in enumerate(edges)}
+        new_f = {f: i for i, (f, _) in enumerate(faces)}
+        out = OrderedComplex(
+            tuple(v for v in c.vertices if v not in drop_v) + tuple(self.vertices),
+            tuple(s for _, s in edges),
+            tuple(tuple(new_e[e] for e in s) for _, s in faces),
+            tuple(tuple(new_f[f] for f in s) for _, s in tets))
+        new_faces = out.faces[len(out.faces) - len(self.faces):]
+        new_tets = out.tets[len(out.tets) - len(self.tets):]
+        for error in itertools.chain((face_slot_error(out.edges, s) for s in new_faces),
+                                     (tet_slot_error(out.faces, s) for s in new_tets)):
+            if error:
+                raise ComplexStructureError(error)
+        return out
 
 
 def _fresh_vertex(c: OrderedComplex, w: int | None) -> int:
@@ -281,6 +281,7 @@ def _cone(c: OrderedComplex, plan) -> _Patch:
     order of the simplex of t it is the cone over."""
     t, w, skip = plan
     p = _Patch(c, faces=() if skip is None else (c.tets[t][skip],), tets=(t,))
+    p.vertices.append(w)
     locs = c.tet_locals[t]
     ce = [p.add_edge(locs[i], w) for i in range(4)]
     cf = {(i, j): p.add_face(e, ce[i], ce[j])
@@ -351,23 +352,12 @@ def _check_uncone(c: OrderedComplex, v: int, kind: str):
         r0, r1, r2 = (a for a in corners if a != apex)
         between = dict(rim)
         base = tuple(between.get(frozenset(pair)) for pair in ((r0, r1), (r0, r2), (r1, r2)))
-        if None in base or not _face_fits(c, base):
+        if None in base or face_slot_error(c.edges, base):
             raise MoveError(f"rim edges around {v} do not close up into a face")
     closing = tuple(opposite.get(corners[3 - s]) for s in range(4))
-    if not _tet_fits(tuple(base if f is None else c.faces[f] for f in closing)):
+    if tet_slot_error({f: base if f is None else c.faces[f] for f in closing}, closing):
         raise MoveError(f"faces around {v} do not close up into a tet")
     return v, tets, edges, faces, base, closing
-
-
-def _face_fits(c: OrderedComplex, slots: tuple[int, int, int]) -> bool:
-    (t01, h01), (t02, h02), (t12, h12) = (c.edges[e] for e in slots)
-    return t01 == t02 and h01 == t12 and h02 == h12
-
-
-def _tet_fits(faces) -> bool:
-    f012, f013, f023, f123 = faces
-    return (f012[0] == f013[0] and f012[1] == f023[0] and f013[1] == f023[1]
-            and f012[2] == f123[0] and f013[2] == f123[1] and f023[2] == f123[2])
 
 
 def _uncone(c: OrderedComplex, plan) -> _Patch:
@@ -505,14 +495,16 @@ def _patch_b22(c: OrderedComplex, plan) -> _Patch:
                  [(p, y, q, r) for y in (d_tail, d_head)])
 
 
-# each kind's precondition, which raises MoveError or returns what its
-# assembly needs, and its assembly, which cannot fail
+# each kind's targets, the candidates enumerate_applicable tries; its
+# precondition, which raises MoveError or returns what its assembly needs;
+# and its assembly, which cannot fail
 _MOVES = {
-    "P14": (_check_p14, _cone),
-    "P41": (lambda c, v, _w=None: _check_uncone(c, v, "P41"), _uncone),
-    "P23": (_check_p23, _patch_p23),
-    "P32": (_check_p32, _patch_p32),
-    "B13": (_check_b13, _cone),
-    "B31": (lambda c, v, _w=None: _check_uncone(c, v, "B31"), _uncone),
-    "B22": (_check_b22, _patch_b22),
+    "P14": (lambda c: range(len(c.tets)), _check_p14, _cone),
+    "P41": (lambda c: c.vertices, lambda c, v, _w=None: _check_uncone(c, v, "P41"), _uncone),
+    "P23": (lambda c: [f for f in range(len(c.faces)) if not c.is_boundary_face(f)],
+            _check_p23, _patch_p23),
+    "P32": (lambda c: range(len(c.edges)), _check_p32, _patch_p32),
+    "B13": (OrderedComplex.boundary_face_indices, _check_b13, _cone),
+    "B31": (lambda c: c.vertices, lambda c, v, _w=None: _check_uncone(c, v, "B31"), _uncone),
+    "B22": (lambda c: range(len(c.edges)), _check_b22, _patch_b22),
 }

@@ -7,6 +7,7 @@ import pytest
 from cmtop.complexes import (
     ComplexBuilder,
     ComplexStructureError,
+    OrderedComplex,
     are_isomorphic,
     boundary,
     disjoint_union,
@@ -36,6 +37,18 @@ def pillow_interval():
 def test_single_tet_counts():
     c = single_tet()
     assert c.counts.as_tuple() == (4, 6, 4, 1)
+    assert c.simplicial
+    assert len(c.boundary_face_indices()) == 4
+
+
+def test_indices_of_a_directly_constructed_complex():
+    # the slot tables alone determine every derived index
+    c = OrderedComplex((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+                       ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)), ((0, 1, 2, 3),))
+    assert c == single_tet()
+    assert c.face_incidence == (((0, 0),), ((0, 1),), ((0, 2),), ((0, 3),))
+    assert c.tet_locals == ((1, 2, 3, 4),)
+    assert c.face_locals == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
     assert c.simplicial
     assert len(c.boundary_face_indices()) == 4
 
@@ -193,6 +206,17 @@ def test_relabel_rejects_non_bijections():
         relabel(c, {1: 1, 2: 1, 3: 3, 4: 4})
     with pytest.raises(ValueError):
         relabel(c, {1: 1, 2: 2})
+
+
+@pytest.mark.parametrize("target", [-1, 7.0, "7"])
+def test_relabel_rejects_bad_target_ids(target):
+    # the simplicial path rebuilds from the tet list and the Δ path renames
+    # the edge endpoints; both refuse an id that is not a nonnegative int
+    for c in (single_tet(), solid_torus()):
+        perm = {v: target if v == 1 else v for v in c.vertices}
+        with pytest.raises(ComplexStructureError,
+                           match=f"vertex ids must be nonnegative integers, got {target!r}"):
+            relabel(c, perm)
 
 
 def test_disjoint_union_counts_add():

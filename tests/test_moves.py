@@ -1,10 +1,16 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from cmtop import fixtures, moves
-from cmtop.complexes import ComplexBuilder, are_isomorphic, relabel, validate_manifold_basics
+from cmtop.complexes import (
+    ComplexBuilder,
+    ComplexStructureError,
+    OrderedComplex,
+    are_isomorphic,
+    relabel,
+    validate_manifold_basics,
+)
 from cmtop.moves import (
     INVERSE_KIND,
     MOVE_DELTAS,
@@ -22,11 +28,18 @@ def deltas(before, after):
     return tuple(y - x for x, y in zip(before.counts.as_tuple(), after.counts.as_tuple()))
 
 
+def rename(c, perm):
+    """c with its vertex ids renamed by perm and every slot kept, as
+    relabel's Δ-mode does, even where c is simplicial."""
+    return OrderedComplex(tuple(sorted(perm.values())),
+                          tuple((perm[t], perm[h]) for t, h in c.edges), c.faces, c.tets)
+
+
 def delta_relabel(c, rng):
-    """A random renaming of vertex ids that keeps every slot (relabel's
-    Δ-mode), so edges may run from a larger id to a smaller one."""
+    """A random renaming of vertex ids that keeps every slot, so edges may
+    run from a larger id to a smaller one."""
     vs = list(c.vertices)
-    return relabel(replace(c, simplicial=False), dict(zip(vs, rng.sample(vs, len(vs)))))
+    return rename(c, dict(zip(vs, rng.sample(vs, len(vs)))))
 
 
 def walk(name, seed, max_tets=40):
@@ -206,11 +219,34 @@ def test_enumeration_builds_nothing(monkeypatch):
         raise AssertionError("enumerate_applicable assembled or built a move")
 
     monkeypatch.setattr(moves, "_Patch", refuse)
-    monkeypatch.setattr(ComplexBuilder, "build", refuse)
+    monkeypatch.setattr(moves, "OrderedComplex", refuse)
     found = {kind: enumerate_applicable(c, kind) for kind in MOVE_KINDS}
     assert all(found.values()), found
     with pytest.raises(AssertionError, match="assembled or built"):
         apply(c, found["P41"][0])
+
+
+@pytest.mark.parametrize("table, message", [
+    ("faces", r"face edges \(\d+,\d+,\d+\) do not share endpoints consistently"),
+    ("tets", r"tet faces \(\d+,\d+,\d+,\d+\) disagree on edge 02"),
+])
+def test_apply_checks_the_new_simplices(monkeypatch, table, message):
+    # build checks only what a move adds against the slot rules: an assembly
+    # that swaps the first two slots of its last new face or tet is refused
+    targets, check, cone = moves._MOVES["P14"]
+
+    def miswired(c, plan):
+        p = cone(c, plan)
+        simplices = getattr(p, table)
+        first, second, *rest = simplices[-1]
+        simplices[-1] = (second, first, *rest)
+        return p
+
+    c = fixtures.s3_boundary_4simplex()
+    apply(c, MoveDescriptor("P14", 0))
+    monkeypatch.setitem(moves._MOVES, "P14", (targets, check, miswired))
+    with pytest.raises(ComplexStructureError, match=message):
+        apply(c, MoveDescriptor("P14", 0))
 
 
 def test_p23_refused_by_the_new_edge_direction_alone():
@@ -221,7 +257,7 @@ def test_p23_refused_by_the_new_edge_direction_alone():
     two = fixtures.two_tet_ball()
     f, = (f for f in range(len(two.faces)) if not two.is_boundary_face(f))
     assert enumerate_applicable(two, "P23") == [MoveDescriptor("P23", f)]
-    swapped = relabel(replace(two, simplicial=False), {1: 5, 2: 2, 3: 3, 4: 4, 5: 1})
+    swapped = rename(two, {1: 5, 2: 2, 3: 3, 4: 4, 5: 1})
     assert enumerate_applicable(swapped, "P23") == []
     with pytest.raises(MoveError, match=(
             rf"P23 at face {f}: apex 5 is corner 0 of tet 0 and apex 1 is corner 3 "
