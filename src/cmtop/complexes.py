@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "OrderedComplex",
@@ -228,16 +228,20 @@ class ComplexBuilder:
 
 
 def from_tet_list(tets: Iterable[Sequence[int]]) -> OrderedComplex:
-    """Simplicial-mode constructor: tets as 4-tuples of distinct vertex ids.
+    """Simplicial-mode constructor: tets as 4-tuples of distinct vertex ids,
+    each a nonnegative int.
 
     Edges and faces are deduplicated as vertex subsets; a face shared by
     more than two tets is an error, as is a repeated vertex in a tet.
     """
     tet_tuples = []
     for raw in tets:
-        vs = tuple(sorted(int(v) for v in raw))
+        raw = tuple(raw)
+        for v in raw:
+            _check_vertex_id(v)
+        vs = tuple(sorted(raw))
         if len(vs) != 4 or len(set(vs)) != 4:
-            raise ValueError(f"tet {tuple(raw)} must have 4 distinct vertices")
+            raise ValueError(f"tet {raw} must have 4 distinct vertices")
         tet_tuples.append(vs)
     if len(set(tet_tuples)) != len(tet_tuples):
         raise ValueError("duplicate tet in input")
@@ -367,7 +371,7 @@ def _uncovered(c: OrderedComplex) -> tuple[list[int], list[int]]:
     return faces, edges
 
 
-def relabel(c: OrderedComplex, permutation: Mapping[int, int] | Callable[[int], int]) -> OrderedComplex:
+def relabel(c: OrderedComplex, permutation: Mapping[int, int]) -> OrderedComplex:
     """Rename vertices under a bijection of vertex ids.
 
     In simplicial mode, when every face and edge lies under a tet, the
@@ -376,10 +380,7 @@ def relabel(c: OrderedComplex, permutation: Mapping[int, int] | Callable[[int], 
     the slot structure is the data: only the edge endpoints are renamed,
     and faces and tets are kept as they are.
     """
-    if callable(permutation):
-        perm = {v: permutation(v) for v in c.vertices}
-    else:
-        perm = dict(permutation)
+    perm = dict(permutation)
     if sorted(perm) != list(c.vertices):
         raise ValueError("permutation domain must be exactly the vertex set")
     if len(set(perm.values())) != len(perm):

@@ -64,8 +64,8 @@ class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
 
 
-class SearchBudgetExceededError(RuntimeError):
-    """The fast engine's node budget ran out."""
+class SearchBudgetExceededError(BudgetExceededError):
+    """The fast engine spent its budget of search nodes (edge values tried)."""
 
 
 def default_budget() -> int:
@@ -230,7 +230,10 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, cm: CrossedModule, c: OrderedComplex, node_budget: int | None):
+    """The search for one module and complex; past ``node_budget`` search
+    nodes, ``run`` raises SearchBudgetExceededError."""
+
+    def __init__(self, cm: CrossedModule, c: OrderedComplex, node_budget: int):
         self.cm = cm
         self.c = c
         self.node_budget = node_budget
@@ -320,7 +323,7 @@ class _Engine:
 
     def _tick(self):
         self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        if self.nodes > self.node_budget:
             raise SearchBudgetExceededError(
                 f"fast engine exceeded {self.node_budget} search nodes")
 
@@ -490,15 +493,18 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     Peiffer identity too: it gives the 2-gauge, and it makes ker(bnd)
     central, so the face colors of each leaf are counted by linear algebra
     over ker(bnd), one equation per tet and one unknown per face.  A module
-    without it is computed by ``brute_force_invariant`` under its own
-    budget (``default_budget``), and ``node_budget`` does not apply.  Its Z
-    is exact but not a triangulation invariant: for Z/4 -> Z/2 with the
-    negation action, S^3 gives 3/2 as the boundary of the 4-simplex and 2
-    after one P41 move.  ``node_budget`` bounds the search nodes (edge
-    values tried); past it the engine raises SearchBudgetExceededError.
+    without it is computed by ``brute_force_invariant``; its Z is exact but
+    not a triangulation invariant: for Z/4 -> Z/2 with the negation action,
+    S^3 gives 3/2 as the boundary of the 4-simplex and 2 after one P41 move.
+
+    ``node_budget`` (None: ``default_budget()``) bounds both paths: the
+    engine's search nodes (edge values tried), past which it raises
+    SearchBudgetExceededError, and the entries of the oracle's largest
+    table, past which it raises BudgetExceededError.
     """
+    node_budget = default_budget() if node_budget is None else node_budget
     if peiffer_violations(cm):
-        return brute_force_invariant(cm, c)
+        return brute_force_invariant(cm, c, node_budget)
     return _result(_Engine(cm, c, node_budget).run(), cm, c)
 
 

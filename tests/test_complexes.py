@@ -74,6 +74,11 @@ def test_from_tet_list_rejects_bad_input():
     # a face in three tets is not allowed in simplicial mode
     with pytest.raises(ValueError):
         from_tet_list([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)])
+    # vertex ids follow add_vertex's rule, checked before any sort
+    for bad in (1.7, "7", -1):
+        with pytest.raises(ComplexStructureError,
+                           match=f"vertex ids must be nonnegative integers, got {bad!r}"):
+            from_tet_list([(bad, 2, 3, 4)])
 
 
 def test_boundary_of_single_tet_is_sphere():

@@ -303,6 +303,13 @@ def test_cli_fast_engine_budget_is_a_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_selftest_takes_no_budget():
+    # the selftest decides no budget; the engines' default applies
+    with pytest.raises(SystemExit) as err:
+        main(["selftest", "--budget", "5"])
+    assert err.value.code == 2
+
+
 def test_cli_large_complex_runs(tmp_path, capsys, p14_ball):
     # 1206 edges: the search is iterative, so no recursion limit applies
     path = tmp_path / "ball.tri"

@@ -13,6 +13,7 @@ from cmtop.groups import FiniteGroup, build_cyclic, build_symmetric, build_trivi
 from cmtop.moves import MoveDescriptor, apply
 from cmtop.statesum import (
     BudgetExceededError,
+    SearchBudgetExceededError,
     Coloring,
     InvariantValue,
     brute_force_invariant,
@@ -294,6 +295,22 @@ def test_budget_gate_names_the_largest_table():
         brute_force_invariant(cm, fixtures.s3_boundary_4simplex(), budget=10**6)
     assert "largest table" in str(err.value)
     assert "78364164096 entries, over the budget of 1000000" in str(err.value)
+
+
+def test_invariant_is_bounded_by_default(monkeypatch):
+    # this pair needs 37 search nodes
+    monkeypatch.setenv("CMTOP_BUDGET", "10")
+    with pytest.raises(SearchBudgetExceededError) as err:
+        invariant(fixtures.crossed_module("conj_z3"), fixtures.s2_interval_big())
+    assert isinstance(err.value, BudgetExceededError)
+
+
+def test_node_budget_bounds_the_oracle_on_a_non_peiffer_module():
+    cm = _z4_z2_negation()
+    with pytest.raises(BudgetExceededError):
+        invariant(cm, fixtures.single_tet(), node_budget=10)
+    value = invariant(cm, fixtures.single_tet())
+    assert (value.value, value.admissible_count) == (2, 512)
 
 
 def test_oracle_refuses_a_coloring_space_past_int64():
