@@ -10,7 +10,9 @@ identified simplices, parallel edges and loops are first-class, because
 the fixtures for D²×S¹ and S²×[0,1] need them.
 
 Local vertex order of a simplex is carried by its slot structure, never
-recomputed from vertex ids, so identified vertices are harmless.
+recomputed from vertex ids, so identified vertices are harmless.  The tet
+walk and the spanning forest are cached on the complex too; the state-sum
+engine and the validator read them, and no other module walks the tets.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "from_tet_list",
     "boundary",
     "validate_manifold_basics",
+    "determined_by_tets",
     "relabel",
     "disjoint_union",
     "prism_product",
@@ -107,6 +110,57 @@ class OrderedComplex:
             for s, f in enumerate(slots):
                 out[f].append((t, s))
         return tuple(map(tuple, out))
+
+    @cached_property
+    def walk(self) -> tuple[tuple[int, ...], ...]:
+        """The tets, one connected component at a time.  Each component is
+        in breadth-first order from its least tet, and the walk crosses
+        only faces that lie in exactly two tet slots."""
+        seen, components = [False] * len(self.tets), []
+        for t0 in range(len(self.tets)):
+            if not seen[t0]:
+                seen[t0] = True
+                queue = [t0]
+                for t in queue:  # grows as the walk goes
+                    for f in self.tets[t]:
+                        if len(self.face_incidence[f]) == 2:
+                            for t2, _ in self.face_incidence[f]:
+                                if not seen[t2]:
+                                    seen[t2] = True
+                                    queue.append(t2)
+                components.append(tuple(queue))
+        return tuple(components)
+
+    @cached_property
+    def walk_edges(self) -> tuple[int, ...]:
+        """Every edge, in the order the walk first meets it; edges in no tet last."""
+        met = dict.fromkeys(e for tets in self.walk for t in tets for e in self.tet_edge_slots(t))
+        return (*met, *(e for e in range(len(self.edges)) if e not in met))
+
+    @cached_property
+    def walk_faces(self) -> tuple[int, ...]:
+        """Every face, in the order the walk first meets it; faces in no tet last."""
+        met = dict.fromkeys(f for tets in self.walk for t in tets for f in self.tets[t])
+        return (*met, *(f for f in range(len(self.faces)) if f not in met))
+
+    @cached_property
+    def spanning_forest(self) -> tuple[int, ...]:
+        """The edges, taken in walk order, that join two classes of the
+        vertices joined by the edges before them: V - k edges, for k the
+        components of the 1-skeleton."""
+        root, forest = {v: v for v in self.vertices}, []
+
+        def find(v):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for e in self.walk_edges:
+            a, b = map(find, self.edges[e])
+            if a != b:
+                root[a] = b
+                forest.append(e)
+        return tuple(forest)
 
     @cached_property
     def simplicial(self) -> bool:
@@ -312,23 +366,9 @@ def validate_manifold_basics(c: OrderedComplex) -> list[str]:
         stray_faces, stray_edges = _uncovered(c)
         report.extend(f"face {f} belongs to no tet" for f in stray_faces)
         report.extend(f"edge {e} belongs to no face" for e in stray_edges)
-        # tet connectivity through shared faces
-        adj: dict[int, set[int]] = {t: set() for t in range(len(c.tets))}
-        for inc in c.face_incidence:
-            if len(inc) == 2:
-                (t1, _), (t2, _) = inc
-                adj[t1].add(t2)
-                adj[t2].add(t1)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != len(c.tets):
+        if len(c.walk) > 1:
             report.append(
-                f"tet graph not connected: {len(seen)} of {len(c.tets)} reachable")
+                f"tet graph not connected: {len(c.walk[0])} of {len(c.tets)} reachable")
     if c.simplicial:
         report.extend(_simplicial_edge_link_report(c))
     return report
@@ -371,14 +411,22 @@ def _uncovered(c: OrderedComplex) -> tuple[list[int], list[int]]:
     return faces, edges
 
 
+def determined_by_tets(c: OrderedComplex) -> bool:
+    """Its tets determine it: it is simplicial, has a tet, and every vertex,
+    edge and face lies under a tet, so ``from_tet_list`` of its tet corners
+    gives it back up to the order of its indices."""
+    return (c.simplicial and bool(c.tets) and not any(_uncovered(c))
+            and len({v for corners in c.tet_locals for v in corners}) == len(c.vertices))
+
+
 def relabel(c: OrderedComplex, permutation: Mapping[int, int]) -> OrderedComplex:
     """Rename vertices under a bijection of vertex ids.
 
-    In simplicial mode, when every face and edge lies under a tet, the
-    complex is rebuilt from its tets, so every simplex is re-sorted under
-    the new total order and the slot wiring genuinely changes.  Otherwise
-    the slot structure is the data: only the edge endpoints are renamed,
-    and faces and tets are kept as they are.
+    When its tets determine the complex, it is rebuilt from its tets, so
+    every simplex is re-sorted under the new total order and the slot
+    wiring genuinely changes.  Otherwise the slot structure is the data:
+    only the edge endpoints are renamed, and faces and tets are kept as
+    they are.
     """
     perm = dict(permutation)
     if sorted(perm) != list(c.vertices):
@@ -387,7 +435,7 @@ def relabel(c: OrderedComplex, permutation: Mapping[int, int]) -> OrderedComplex
         raise ValueError("permutation must be injective")
     for v in perm.values():
         _check_vertex_id(v)
-    if c.simplicial and c.tets and not any(_uncovered(c)):
+    if determined_by_tets(c):
         return from_tet_list([tuple(perm[v] for v in tl) for tl in c.tet_locals])
     return OrderedComplex(tuple(sorted(perm.values())),
                           tuple((perm[t], perm[h]) for t, h in c.edges), c.faces, c.tets)

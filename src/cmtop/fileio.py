@@ -21,6 +21,8 @@ Delta mode: `vertex <id>` (optional, for isolated vertices),
 `tet <id> <f012> <f013> <f023> <f123>`.  Entity ids are arbitrary
 integers local to the file; in-memory indices follow declaration order.
 Vertex ids are nonnegative integers, total order = numeric order.
+``format_complex`` writes simplicial mode only when the tets determine the
+complex (``complexes.determined_by_tets``), so stray simplices survive.
 
 Loaders validate everything a definition requires and raise FormatError
 with the line number: the group axioms, and the crossed-module axioms of
@@ -33,7 +35,8 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
-from .complexes import ComplexBuilder, ComplexStructureError, OrderedComplex, from_tet_list
+from .complexes import (ComplexBuilder, ComplexStructureError, OrderedComplex,
+                        determined_by_tets, from_tet_list)
 from .crossed_modules import CrossedModule, make_crossed_module
 from .groups import FiniteGroup, GroupTableError
 
@@ -290,7 +293,7 @@ def load_complex(path: str | Path) -> OrderedComplex:
 
 def format_complex(c: OrderedComplex) -> str:
     out = io.StringIO()
-    if c.simplicial:
+    if determined_by_tets(c):
         for locs in c.tet_locals:
             out.write("tet " + " ".join(str(v) for v in locs) + "\n")
         return out.getvalue()

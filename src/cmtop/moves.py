@@ -84,7 +84,8 @@ class MoveError(ValueError):
 @dataclass(frozen=True)
 class MoveDescriptor:
     """kind plus its target: a tet index for P14, face for P23/B13, edge for
-    P32/B22, vertex id for P41/B31.  new_vertex applies to P14/B13."""
+    P32/B22, vertex id for P41/B31.  new_vertex is only for P14/B13, the
+    kinds that add a vertex."""
 
     kind: str
     target: int
@@ -97,6 +98,9 @@ class MoveDescriptor:
             raise MoveError(f"move target must be an int, got {self.target!r}")
         if not isinstance(self.new_vertex, (int, type(None))):
             raise MoveError(f"new vertex must be an int or None, got {self.new_vertex!r}")
+        if self.new_vertex is not None and self.kind not in ("P14", "B13"):
+            raise MoveError(f"{self.kind} adds no vertex, so it takes no new vertex "
+                            f"(got {self.new_vertex})")
 
 
 def apply(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:

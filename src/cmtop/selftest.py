@@ -303,11 +303,8 @@ def _cm_mutations(cm: CrossedModule):
             if v != cm.boundary.map[y]:
                 images = list(cm.boundary.map)
                 images[y] = v
-                hom = GroupHom.__new__(GroupHom)
-                object.__setattr__(hom, "source", cm.h)
-                object.__setattr__(hom, "target", cm.g)
-                object.__setattr__(hom, "map", tuple(images))
-                yield CrossedModule(cm.h, cm.g, hom, cm.action, "mut")
+                yield CrossedModule(cm.h, cm.g, GroupHom(cm.h, cm.g, tuple(images)),
+                                    cm.action, "mut")
 
 
 def criterion_10_validation():

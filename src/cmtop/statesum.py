@@ -36,10 +36,10 @@ k_f, and the face colors are the solutions of one linear system over the
 abelian group A, twisted by the G-action: one equation per tet, one
 unknown per face.  It has none, or as many solutions as the homogeneous
 system has, counted by elimination mod the exponent of A (Gaussian
-elimination over F_p when A is elementary abelian).  One breadth-first
-walk over the tets orders the edge search and the system's rows and
-columns in linear time; the search is an explicit-stack loop, so no
-complex is too large for the interpreter's recursion limit.  The engine
+elimination over F_p when A is elementary abelian).  The complex's cached
+tet walk orders the edge search and the system's rows and columns, and
+its spanning forest is the one pinned; the search is an explicit-stack
+loop, so no complex is too large for the recursion limit.  The engine
 never enumerates the full space, is bounded by a search-node budget, and
 must agree with the oracle exactly wherever both run.
 """
@@ -231,7 +231,14 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 
 class _Engine:
     """The search for one module and complex; past ``node_budget`` search
-    nodes, ``run`` raises SearchBudgetExceededError."""
+    nodes, ``run`` raises SearchBudgetExceededError.
+
+    It assigns the edges in walk order and checks each face at its last
+    edge.  The vertex gauge acts freely on the colors of the spanning
+    forest, so its edges are pinned to e at a factor |G| each.  Under the
+    Peiffer identity the 2-gauge g_e -> bnd(y) g_e maps admissible colorings
+    to admissible ones, so every other edge ranges over coset
+    representatives of S = im(bnd) at a factor |S| each."""
 
     def __init__(self, cm: CrossedModule, c: OrderedComplex, node_budget: int):
         self.cm = cm
@@ -251,75 +258,18 @@ class _Engine:
         self.faces = c.faces
         self.tets = c.tets
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
-        self._plan()
-        if len(self.ker) > 1:
-            self._coordinates()
-        self._gauge()
-
-    def _plan(self) -> None:
-        """One breadth-first walk over the tets of each component.
-
-        The walk lists the tets and the edges in the order it first meets
-        them (edges in no tet last), and the faces of the tets in the order
-        it first meets them.
-        """
-        c = self.c
-        seen_tet = [False] * len(self.tets)
-        seen_edge = [False] * len(c.edges)
-        seen_face = [False] * len(self.faces)
-        order, self.walk, self.face_order = [], [], []
-        for t0 in range(len(self.tets)):
-            if seen_tet[t0]:
-                continue
-            seen_tet[t0] = True
-            queue = [t0]
-            for t in queue:  # grows as the walk goes
-                for e in c.tet_edge_slots(t):
-                    if not seen_edge[e]:
-                        seen_edge[e] = True
-                        order.append(e)
-                for f in self.tets[t]:
-                    if not seen_face[f]:
-                        seen_face[f] = True
-                        self.face_order.append(f)
-                    for t2, _ in c.face_incidence[f]:
-                        if not seen_tet[t2]:
-                            seen_tet[t2] = True
-                            queue.append(t2)
-            self.walk += queue
-        self.edge_order = order + [e for e in range(len(c.edges)) if not seen_edge[e]]
-        # faces become checkable once all their edges are assigned
-        pos = {e: i for i, e in enumerate(self.edge_order)}
-        self.faces_done_at = [[] for _ in self.edge_order]
+        self.edge_order = order = c.walk_edges
+        pos = {e: i for i, e in enumerate(order)}
+        self.faces_done_at = [[] for _ in order]
         for f, slots in enumerate(self.faces):
             self.faces_done_at[max(pos[e] for e in slots)].append(f)
-
-    def _gauge(self) -> None:
-        """Fix the gauge: per-depth edge values and the factor they stand for.
-
-        The vertex gauge acts freely on the colors of a spanning forest, so
-        its edges are pinned to e at a factor |G| each.  Under the Peiffer
-        identity the 2-gauge g_e -> bnd(y) g_e maps admissible colorings to
-        admissible ones, so every other edge ranges over coset
-        representatives of S = im(bnd) at a factor |S| each.
-        """
-        g = self.cm.g
         image = sorted(set(self.bnd))
         reps = sorted({min(g.mul(s, x) for s in image) for x in range(g.order)})
-        root = {v: v for v in self.c.vertices}
-
-        def find(v):
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            return v
-
-        self.values, pinned = [], 0
-        for e in self.edge_order:
-            a, b = (find(v) for v in self.c.edges[e])
-            root[a] = b  # a no-op on loops and on edges closing a cycle
-            self.values.append((0,) if a != b else reps)
-            pinned += a != b
-        self.factor = g.order**pinned * len(image)**(len(self.edge_order) - pinned)
+        pinned = set(c.spanning_forest)
+        self.values = [(0,) if e in pinned else reps for e in order]
+        self.factor = g.order**len(pinned) * len(image)**(len(order) - len(pinned))
+        if len(self.ker) > 1:
+            self._coordinates()
 
     def _tick(self):
         self.nodes += 1
@@ -391,14 +341,14 @@ class _Engine:
                      for y, v in coord.items() for i, p in enumerate(powers)}
             self.gens.append(a)
         self.coord = coord
-        self.rows = self.walk[::-1]
+        self.rows = [t for component in reversed(self.c.walk) for t in reversed(component)]
         r = len(self.gens)
         self.relations = {i * r + l: {i * r + q: x for q, x in rel.items()}
                           for i in range(len(self.rows)) for l, rel in enumerate(rels)}
         row = {t: i for i, t in enumerate(self.rows)}
         # per face, in the order the walk meets them: (row, slot is 0, sign)
         self.columns = [[(row[t], s == 0, 1 if s in (0, 2) else -1)
-                         for t, s in self.c.face_incidence[f]] for f in self.face_order]
+                         for t, s in self.c.face_incidence[f]] for f in self.c.walk_faces]
 
     def _solve(self) -> int:
         """Face colorings of one leaf, without search.
@@ -428,14 +378,14 @@ class _Engine:
                     for q, x in enumerate(coord[act[g23[i]][a] if slot0 else a]):
                         if x:
                             col[i * r + q] = (col.get(i * r + q, 0) + sign * x) % d
-                image *= _reduce(basis, {k: x for k, x in col.items() if x}, d, insert=True)
+                image *= _reduce(basis, {k: x for k, x in col.items() if x}, d)
         if image < onto:
             constants = {}
             for i, t in enumerate(self.rows):
                 b012, b013, b023, b123 = (pre[req[f]] for f in self.tets[t])
                 w = coord[mh[mh[b023][act[g23[i]][b012]]][mh[ih[b123]][ih[b013]]]]
                 constants.update((i * r + q, x) for q, x in enumerate(w) if x)
-            if _reduce(basis, constants, d, insert=False) > 1:
+            if _reduce(basis, constants, d) > 1:  # basis is this leaf's copy
                 return 0
         return len(self.ker)**len(self.faces) // image
 
@@ -460,13 +410,11 @@ def _combine(s: int, a: dict, t: int, b: dict, d: int) -> dict:
     return out
 
 
-def _reduce(basis: dict, v: dict, d: int, insert: bool) -> int:
-    """Reduce v against a triangular lattice basis (basis[k] has its last
+def _reduce(basis: dict, v: dict, d: int) -> int:
+    """Fold v into a triangular lattice basis (basis[k] has its last
     nonzero coordinate k, a divisor of d) that contains d*Z^N, so entries
-    live mod d.  Return 1 when v lies in the lattice.  Otherwise, with
-    ``insert``, fold v into the basis by unimodular steps and return the
-    factor by which that divides the lattice's index; without it, return
-    a number above 1 and leave the basis as it was."""
+    live mod d, by unimodular steps.  Return the factor by which that
+    divides the lattice's index: 1 exactly when v was in the lattice."""
     factor = 1
     while v:
         k = max(v)
@@ -474,8 +422,6 @@ def _reduce(basis: dict, v: dict, d: int, insert: bool) -> int:
         p, x = b[k], v[k]
         g, s, t = _xgcd(p, x)
         if g != p:
-            if not insert:
-                return p // g
             basis[k] = _combine(s, b, t, v, d)  # its entry k is g < d
             factor *= p // g
         v = _combine(x // g, b, -(p // g), v, d)  # its entry k is 0

@@ -4,18 +4,21 @@ import random
 
 import pytest
 
+from cmtop import fixtures
 from cmtop.complexes import (
     ComplexBuilder,
     ComplexStructureError,
     OrderedComplex,
     are_isomorphic,
     boundary,
+    determined_by_tets,
     disjoint_union,
     from_tet_list,
     prism_product,
     relabel,
     validate_manifold_basics,
 )
+from cmtop.moves import MOVE_KINDS, apply, enumerate_applicable
 
 
 def single_tet():
@@ -205,6 +208,16 @@ def test_relabel_keeps_stray_simplices():
     assert r.edges == ((2, 1),)
 
 
+def test_relabel_keeps_an_isolated_vertex():
+    # simplicial, yet its tets do not determine it: vertex 9 is in no tet
+    c = single_tet()
+    pt = OrderedComplex((*c.vertices, 9), c.edges, c.faces, c.tets)
+    assert pt.simplicial and not determined_by_tets(pt)
+    assert determined_by_tets(c)
+    assert relabel(pt, {v: v for v in pt.vertices}) == pt
+    assert relabel(pt, {1: 1, 2: 2, 3: 3, 4: 4, 9: 0}).vertices == (0, 1, 2, 3, 4)
+
+
 def test_relabel_rejects_non_bijections():
     c = single_tet()
     with pytest.raises(ValueError):
@@ -255,3 +268,73 @@ def test_tet_edge_slots_consistency():
             e01, e02, e03, e12, e13, e23 = c.tet_edge_slots(t)
             assert c.faces[f123] == (e12, e13, e23)
             assert c.faces[f023] == (e02, e03, e23)
+
+
+def _seeded_walk(c, seed, steps=25):
+    rng = random.Random(seed)
+    for _ in range(steps):
+        found = enumerate_applicable(c, rng.choice(MOVE_KINDS))
+        if found:
+            c = apply(c, rng.choice(found))
+            yield c
+
+
+def _components(vertices, edges):
+    """The number of components of a graph, by depth-first search."""
+    adjacent = {v: [] for v in vertices}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, count = set(), 0
+    for v in vertices:
+        if v in seen:
+            continue
+        count += 1
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for u in adjacent[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
+def _walk_cases():
+    """(complex, components of its tet walk): the valid fixtures, their
+    disjoint unions, and seeded move walks from them."""
+    valid = [n for n in fixtures.COMPLEXES if n != "broken_complex"]
+    for name in valid:
+        c = fixtures.COMPLEXES[name]()
+        yield c, 1
+        yield disjoint_union(c, fixtures.COMPLEXES[valid[len(name) % len(valid)]]()), 2
+        for walked in _seeded_walk(c, seed=len(name)):
+            yield walked, 1
+
+
+def test_walk_lists_each_tet_once_per_component():
+    for c, k in _walk_cases():
+        assert len(c.walk) == k
+        assert sorted(t for component in c.walk for t in component) == list(range(len(c.tets)))
+        assert all(component[0] == min(component) for component in c.walk)
+        assert sorted(c.walk_edges) == list(range(len(c.edges)))
+        assert sorted(c.walk_faces) == list(range(len(c.faces)))
+    # the walk crosses no face that lies in three tet slots
+    assert fixtures.broken_complex().walk == ((0,), (1,), (2,))
+
+
+def test_spanning_forest_spans_without_a_cycle():
+    for c, _ in _walk_cases():
+        forest = [c.edges[e] for e in c.spanning_forest]
+        k = _components(c.vertices, c.edges)
+        assert len(forest) == len(c.vertices) - k
+        # a graph with V - k edges and k components has no cycle
+        assert _components(c.vertices, forest) == k
+
+
+def test_walk_and_forest_are_cached():
+    c = s3_complex()
+    assert c.walk is c.walk
+    assert c.walk_edges is c.walk_edges
+    assert c.walk_faces is c.walk_faces
+    assert c.spanning_forest is c.spanning_forest

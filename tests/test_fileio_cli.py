@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import cmtop
 from cmtop import fixtures
 from cmtop.cli import main
-from cmtop.complexes import are_isomorphic
+from cmtop.complexes import OrderedComplex, are_isomorphic
 from cmtop.crossed_modules import make_crossed_module, peiffer_violations
 from cmtop.fileio import (
     FormatError,
@@ -112,6 +113,33 @@ def test_complex_delta_round_trip(tmp_path):
         back = load_complex(path)
         assert back.counts == c.counts
         assert are_isomorphic(back, c)
+
+
+# single_tet's Δ-mode tables plus an isolated vertex 9
+PT_TRI = """vertex 9
+edge 0 1 2
+edge 1 1 3
+edge 2 1 4
+edge 3 2 3
+edge 4 2 4
+edge 5 3 4
+face 0 0 1 3
+face 1 0 2 4
+face 2 1 2 5
+face 3 3 4 5
+tet 0 0 1 2 3
+"""
+
+
+def test_complex_round_trip_keeps_simplices_in_no_tet():
+    c = fixtures.single_tet()
+    stray_edge = OrderedComplex((1, 2, 3, 4, 5), c.edges + ((1, 5),), c.faces, c.tets)
+    trivh_z2 = fixtures.crossed_module("trivh_z2")
+    for c in (parse_complex(PT_TRI), stray_edge):
+        back = parse_complex(format_complex(c))
+        assert back.counts == c.counts
+        assert invariant(trivh_z2, back) == invariant(trivh_z2, c)
+    assert invariant(trivh_z2, parse_complex(PT_TRI)).value == Fraction(1, 4)
 
 
 def test_complex_parse_errors_carry_line_numbers():
@@ -252,6 +280,23 @@ def test_cli_move_round_trip(tmp_path, capsys):
                  "--vertex", "9"]) == 0
     back = parse_complex(capsys.readouterr().out)
     assert are_isomorphic(back, fixtures.single_tet())
+
+
+def test_cli_move_keeps_an_isolated_vertex(tmp_path, capsys):
+    pt, moved = tmp_path / "pt.tri", tmp_path / "moved.tri"
+    pt.write_text(PT_TRI)
+    assert main(["move", "--complex", str(pt), "--move", "14", "--tet", "0",
+                 "--out", str(moved)]) == 0
+    for path in (pt, moved):
+        assert main(["invariant", "--complex", str(path), "--cm", "trivh_z2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["Z = 1/4 (N=8, a=-5, b=-1)",
+                                                       "Z = 1/4 (N=16, a=-6, b=-4)"]
+
+
+def test_cli_move_refuses_a_new_vertex_it_cannot_use(capsys):
+    assert main(["move", "--complex", "two_tet_ball", "--move", "23", "--face", "3",
+                 "--new-vertex", "99"]) == 1
+    assert capsys.readouterr().err.startswith("error: P23 adds no vertex")
 
 
 def test_cli_move_needs_exactly_one_target(capsys):

@@ -190,6 +190,16 @@ def test_move_errors_carry_witnesses():
         apply(c, MoveDescriptor("P14", 0, 5.5))
 
 
+def test_new_vertex_only_for_kinds_that_add_one():
+    c = fixtures.two_tet_ball()
+    for kind in MOVE_KINDS:
+        if kind in ("P14", "B13"):
+            assert MoveDescriptor(kind, 0, 99).new_vertex == 99
+        else:
+            with pytest.raises(MoveError, match=f"{kind} adds no vertex"):
+                apply(c, MoveDescriptor(kind, 3, 99))
+
+
 def test_all_outputs_keep_slot_invariants():
     # on every fixture and along walks from it, enumeration offers exactly
     # the candidates that apply, every other candidate raises MoveError, and
