@@ -206,10 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--cm", required=True)
     inv.add_argument("--engine", choices=("brute", "fast"), default="fast")
     inv.add_argument("--budget", type=int, default=None,
-                     help="search nodes of the fast engine, or entries of the "
-                          "oracle's largest table (--engine brute, or a module "
-                          "without the Peiffer identity), allowed before exit 1 "
-                          "(default 1e8, env CMTOP_BUDGET)")
+                     help="search nodes of the fast engine (edge values tried: "
+                          "one per forced edge, one per coset representative "
+                          "at a branch edge, none at a spanning-forest edge), "
+                          "or entries of the oracle's largest table (--engine "
+                          "brute, or a module without the Peiffer identity), "
+                          "allowed before exit 1 (default 1e8, env CMTOP_BUDGET)")
     inv.add_argument("--json", action="store_true")
     inv.set_defaults(func=_cmd_invariant)
 

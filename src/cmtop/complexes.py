@@ -11,12 +11,15 @@ the fixtures for D²×S¹ and S²×[0,1] need them.
 
 Local vertex order of a simplex is carried by its slot structure, never
 recomputed from vertex ids, so identified vertices are harmless.  The tet
-walk and the spanning forest are cached on the complex too; the state-sum
-engine and the validator read them, and no other module walks the tets.
+walk, the spanning forest and the closing order of the edges off it are
+cached on the complex too; the state-sum engine and the validator read
+them, and no other module walks the tets.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -163,6 +166,73 @@ class OrderedComplex:
         return tuple(forest)
 
     @cached_property
+    def closing_order(self) -> tuple[tuple[int, int | None], ...]:
+        """The edges off the spanning forest, each paired with the face that
+        forces it, or with None for a branch edge.
+
+        The forest's edges are set first.  While some face has exactly one
+        unset slot, its edge comes next, forced by that face.  Otherwise the
+        next edge is a branch edge: the unset edge that lies in the most
+        faces with two unset slots, the first in walk order on ties.  A
+        queue of ready faces, per-face counts of unset slots and a heap of
+        branch candidates keep the build within O((E + F) log E)."""
+        faces, forest = self.faces, self.spanning_forest
+        pos = [0] * len(self.edges)
+        for i, e in enumerate(self.walk_edges):
+            pos[e] = i
+        unset = [True] * len(self.edges)
+        for e in forest:
+            unset[e] = False
+        # score: faces with two unset slots, per edge, counted as they reach
+        # two.  A face that drops to one is ready, so its last edge is set
+        # before the next branch: at a branch every unset edge's score is
+        # exact, and so is its best heap entry once the edges whose score
+        # rose since the last branch are pushed.  In walk order with every
+        # score 0, the list is a heap already.
+        score, rose = [0] * len(self.edges), []
+        heap = [(0, pos[e], e) for e in self.walk_edges if unset[e]]
+        left = [0] * len(faces)  # unset slots, per face
+        ready = deque()
+        order = []
+
+        def update(changed):  # recount the unset slots of these faces
+            for f in changed:
+                a, b, c = faces[f]
+                n = unset[a] + unset[b] + unset[c]
+                if n == 1:
+                    ready.append(f)
+                elif n == 2:  # it had three: counts only fall
+                    x, y = (a, b) if unset[a] and unset[b] else (a, c) if unset[a] else (b, c)
+                    score[x] += 1
+                    rose.append(x)
+                    if y != x:
+                        score[y] += 1
+                        rose.append(y)
+                left[f] = n
+
+        update(self.walk_faces)
+        while len(order) < len(self.edges) - len(forest):
+            while ready and left[ready[0]] != 1:
+                ready.popleft()
+            if ready:
+                force = ready.popleft()
+                a, b, c = faces[force]
+                e = a if unset[a] else b if unset[b] else c
+            else:
+                force = None
+                for e in dict.fromkeys(rose):
+                    if unset[e]:
+                        heapq.heappush(heap, (-score[e], pos[e], e))
+                rose.clear()
+                e = heapq.heappop(heap)[2]
+                while not unset[e]:
+                    e = heapq.heappop(heap)[2]
+            order.append((e, force))
+            unset[e] = False
+            update(self.edge_faces[e])
+        return tuple(order)
+
+    @cached_property
     def simplicial(self) -> bool:
         """Every simplex has strictly ascending corners, and no two
         simplices of one dimension have the same corners."""
@@ -179,9 +249,12 @@ class OrderedComplex:
     def edge_faces(self) -> tuple[tuple[int, ...], ...]:
         """For each edge, the faces with it in a slot, in index order."""
         out: list[list[int]] = [[] for _ in self.edges]
-        for f, slots in enumerate(self.faces):
-            for e in dict.fromkeys(slots):
-                out[e].append(f)
+        for f, (a, b, c) in enumerate(self.faces):
+            out[a].append(f)
+            if b != a:
+                out[b].append(f)
+            if c != a and c != b:
+                out[c].append(f)
         return tuple(map(tuple, out))
 
     @cached_property
@@ -415,8 +488,16 @@ def determined_by_tets(c: OrderedComplex) -> bool:
     """Its tets determine it: it is simplicial, has a tet, and every vertex,
     edge and face lies under a tet, so ``from_tet_list`` of its tet corners
     gives it back up to the order of its indices."""
-    return (c.simplicial and bool(c.tets) and not any(_uncovered(c))
-            and len({v for corners in c.tet_locals for v in corners}) == len(c.vertices))
+    return c.simplicial and bool(c.tets) and not _under_no_tet(c)
+
+
+def _under_no_tet(c: OrderedComplex) -> str | None:
+    """Which of its simplices lie under no tet, or None when none does."""
+    faces, edges = _uncovered(c)
+    vertices = set(c.vertices).difference(v for corners in c.tet_locals for v in corners)
+    if not (faces or edges or vertices):
+        return None
+    return f"faces {faces}, edges {edges} and vertices {sorted(vertices)} lie under no tet"
 
 
 def relabel(c: OrderedComplex, permutation: Mapping[int, int]) -> OrderedComplex:
@@ -515,13 +596,20 @@ def are_isomorphic(a: OrderedComplex, b: OrderedComplex) -> bool:
     """Structural isomorphism of Δ-complexes (slot-preserving bijections).
 
     Backtracks over tet correspondences, propagating the induced face, edge
-    and vertex maps.  Intended for desk-scale complexes in tests.
+    and vertex maps.  Intended for desk-scale complexes in tests.  Those
+    maps reach only simplices under a tet, so a complex with any other
+    simplex raises ValueError rather than get a wrong answer.
     """
+    for c in (a, b):
+        stray = _under_no_tet(c)
+        if stray:
+            raise ValueError(f"are_isomorphic compares only complexes whose every "
+                             f"simplex lies under a tet; in {c!r} {stray}")
     ca, cb = a.counts.as_tuple(), b.counts.as_tuple()
     if ca != cb:
         return False
-    if not a.tets:
-        return (len(a.edges), len(a.faces)) == (len(b.edges), len(b.faces))
+    if not a.tets:  # both are empty
+        return True
     if a.simplicial and b.simplicial and _simplicial_canonical(a) == _simplicial_canonical(b):
         # an order-preserving vertex bijection exists; no search needed
         return True

@@ -25,9 +25,13 @@ there and nowhere else; the size of its largest table is budget-gated.
 ``invariant`` is the engine for crossed modules, that is, modules with the
 Peiffer identity; it hands any other module to the oracle.  It fixes the
 gauge first: the edges of a spanning forest are pinned to e (the vertex
-gauge, a factor |G| each), and every other edge ranges over coset
-representatives of im(bnd) (the 2-gauge, a factor |im bnd| each).  It
-then searches the remaining edge colors, pruning faces whose required
+gauge, a factor |G| each) and are no part of the search, and every other
+edge is colored by a coset representative of im(bnd) (the 2-gauge, a
+factor |im bnd| each).  It then searches those edges in the complex's
+closing order.  A forced edge is the one unset slot of a face whose other
+slots are set, so that face's flatness leaves it a single representative;
+only a branch edge ranges over all of them.  Each face is checked when its
+last edge is set, and the search backtracks when the face's required
 boundary image is outside im(bnd).  At each leaf every face color is
 h_f = b_f * k_f, a fixed preimage b_f of the face's requirement times an
 element k_f of A = ker(bnd).  Peiffer makes A central in H: for k in A,
@@ -37,11 +41,13 @@ abelian group A, twisted by the G-action: one equation per tet, one
 unknown per face.  It has none, or as many solutions as the homogeneous
 system has, counted by elimination mod the exponent of A (Gaussian
 elimination over F_p when A is elementary abelian).  The complex's cached
-tet walk orders the edge search and the system's rows and columns, and
-its spanning forest is the one pinned; the search is an explicit-stack
-loop, so no complex is too large for the recursion limit.  The engine
-never enumerates the full space, is bounded by a search-node budget, and
-must agree with the oracle exactly wherever both run.
+closing order orders the edge search, its spanning forest is the one
+pinned, and its tet walk orders the system's rows and columns; the search
+is an explicit-stack loop, so no complex is too large for the recursion
+limit.  The engine never enumerates the full space, is bounded by a budget
+of search nodes (one per edge value tried: one per forced edge, one per
+representative at a branch edge), and must agree with the oracle exactly
+wherever both run.
 """
 
 from __future__ import annotations
@@ -65,7 +71,12 @@ class BudgetExceededError(RuntimeError):
 
 
 class SearchBudgetExceededError(BudgetExceededError):
-    """The fast engine spent its budget of search nodes (edge values tried)."""
+    """The fast engine spent its budget of search nodes.
+
+    A node is one value tried at one edge of the closing order: a forced
+    edge costs one, a branch edge one per coset representative of im(bnd),
+    and a spanning-forest edge none.  The message gives the deepest depth
+    reached out of the order's length, and its branch and forced edges."""
 
 
 def default_budget() -> int:
@@ -233,18 +244,19 @@ class _Engine:
     """The search for one module and complex; past ``node_budget`` search
     nodes, ``run`` raises SearchBudgetExceededError.
 
-    It assigns the edges in walk order and checks each face at its last
-    edge.  The vertex gauge acts freely on the colors of the spanning
-    forest, so its edges are pinned to e at a factor |G| each.  Under the
-    Peiffer identity the 2-gauge g_e -> bnd(y) g_e maps admissible colorings
-    to admissible ones, so every other edge ranges over coset
-    representatives of S = im(bnd) at a factor |S| each."""
+    The vertex gauge acts freely on the colors of the spanning forest, so
+    its edges are pinned to e at a factor |G| each and take no node.  Under
+    the Peiffer identity the 2-gauge g_e -> bnd(y) g_e maps admissible
+    colorings to admissible ones, so every other edge is colored by a coset
+    representative of S = im(bnd) at a factor |S| each.  It assigns those
+    edges in the complex's closing order: a forced edge takes the one
+    representative its forcing face allows, a branch edge each in turn, and
+    each face is checked at its last edge."""
 
     def __init__(self, cm: CrossedModule, c: OrderedComplex, node_budget: int):
         self.cm = cm
         self.c = c
         self.node_budget = node_budget
-        self.nodes = 0
         g, h = cm.g, cm.h
         self.mul_g, self.inv_g = g.table, g.inverses
         self.mul_h, self.inv_h = h.table, h.inverses
@@ -258,48 +270,66 @@ class _Engine:
         self.faces = c.faces
         self.tets = c.tets
         self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
-        self.edge_order = order = c.walk_edges
-        pos = {e: i for i, e in enumerate(order)}
+        order = c.closing_order
+        depth = [-1] * len(c.edges)  # the forest's edges are set before any depth
+        for i, (e, _) in enumerate(order):
+            depth[e] = i
+        # every face has an edge off the forest: its three edges close a
+        # cycle or one of them is a loop, and the forest holds neither
         self.faces_done_at = [[] for _ in order]
-        for f, slots in enumerate(self.faces):
-            self.faces_done_at[max(pos[e] for e in slots)].append(f)
-        image = sorted(set(self.bnd))
-        reps = sorted({min(g.mul(s, x) for s in image) for x in range(g.order)})
-        pinned = set(c.spanning_forest)
-        self.values = [(0,) if e in pinned else reps for e in order]
-        self.factor = g.order**len(pinned) * len(image)**(len(order) - len(pinned))
+        for f, (e01, e02, e12) in enumerate(self.faces):
+            self.faces_done_at[max(depth[e01], depth[e02], depth[e12])].append(f)
+        # per depth: the edge, its forcing face and the slot it fills there,
+        # or -1 and -1 for a branch edge
+        self.steps = [(e, -1, -1) if f is None else (e, f, self.faces[f].index(e))
+                      for e, f in order]
+        image = set(self.bnd)
+        rep = self.rep = [-1] * g.order  # the least element of each coset S x
+        for x in range(g.order):
+            if rep[x] < 0:
+                for s in image:
+                    rep[self.mul_g[s][x]] = x
+        self.reps = [x for x in range(g.order) if rep[x] == x]
+        self.factor = g.order**len(c.spanning_forest) * len(image)**len(order)
         if len(self.ker) > 1:
             self._coordinates()
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise SearchBudgetExceededError(
-                f"fast engine exceeded {self.node_budget} search nodes")
-
     def run(self) -> int:
         """N: the gauge factor times the face counts summed over the leaves
-        of an explicit-stack search over the edge values."""
-        order, values, done_at = self.edge_order, self.values, self.faces_done_at
+        of an explicit-stack search along the closing order."""
+        steps, done_at, reps, rep = self.steps, self.faces_done_at, self.reps, self.rep
         mul, inv, pre, faces = self.mul_g, self.inv_g, self.pre, self.faces
-        ga = self.g_assign = [0] * len(order)
+        ga = self.g_assign = [0] * len(self.c.edges)
         req = self.req = [-1] * len(faces)
-        tried = [0] * len(order)  # values tried so far at each depth
-        total, depth = 0, 0
+        tried = [0] * len(steps)  # values tried so far at each depth
+        total, depth, deepest, nodes, budget = 0, 0, 0, 0, self.node_budget
         while depth >= 0:
-            if depth == len(order):
+            if depth == len(steps):
                 # with A = ker(bnd) = {e} every w_t(b) is e: each leaf counts once
                 total += self._solve() if len(self.ker) > 1 else 1
                 depth -= 1
                 continue
+            e, force, slot = steps[depth]
             i = tried[depth]
-            if i == len(values[depth]):
+            if i == (len(reps) if slot < 0 else 1):
                 tried[depth] = 0
                 depth -= 1
                 continue
             tried[depth] = i + 1
-            self._tick()
-            ga[order[depth]] = values[depth][i]
+            nodes += 1
+            if nodes > budget:
+                raise self._over_budget(deepest)
+            # S = im(bnd) is normal, so a forced edge's coset is one product
+            if slot < 0:
+                ga[e] = reps[i]
+            else:
+                e01, e02, e12 = faces[force]
+                if slot == 0:  # e01 <- g12^-1 g02
+                    ga[e] = rep[mul[inv[ga[e12]]][ga[e02]]]
+                elif slot == 1:  # e02 <- g12 g01
+                    ga[e] = rep[mul[ga[e12]][ga[e01]]]
+                else:  # e12 <- g02 g01^-1
+                    ga[e] = rep[mul[ga[e02]][inv[ga[e01]]]]
             for f in done_at[depth]:
                 e01, e02, e12 = faces[f]
                 r = mul[mul[ga[e02]][inv[ga[e01]]]][inv[ga[e12]]]
@@ -308,7 +338,16 @@ class _Engine:
                 req[f] = r
             else:
                 depth += 1
+                if depth > deepest:
+                    deepest = depth
         return total * self.factor
+
+    def _over_budget(self, deepest: int) -> SearchBudgetExceededError:
+        n, branch = len(self.steps), sum(slot < 0 for _, _, slot in self.steps)
+        return SearchBudgetExceededError(
+            f"fast engine spent its budget of {self.node_budget} search nodes; "
+            f"deepest depth {deepest} of {n} edges in the closing order "
+            f"({branch} branch, {n - branch} forced)")
 
     # ----- face colors, given all edge colors -----
 
@@ -444,7 +483,8 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     S^3 gives 3/2 as the boundary of the 4-simplex and 2 after one P41 move.
 
     ``node_budget`` (None: ``default_budget()``) bounds both paths: the
-    engine's search nodes (edge values tried), past which it raises
+    engine's search nodes (edge values tried along the closing order; see
+    SearchBudgetExceededError), past which it raises
     SearchBudgetExceededError, and the entries of the oracle's largest
     table, past which it raises BudgetExceededError.
     """

@@ -252,6 +252,26 @@ def test_isomorphism_checks():
     assert are_isomorphic(two, relabel(two, {1: 5, 2: 2, 3: 3, 4: 4, 5: 1}))
 
 
+def test_isomorphism_refuses_simplices_under_no_tet():
+    def with_stray_edge(tail):
+        c = single_tet()
+        return OrderedComplex((*c.vertices, 5), (*c.edges, (tail, 5)), c.faces, c.tets)
+
+    a, b = with_stray_edge(1), with_stray_edge(4)
+    assert a.simplicial and b.simplicial
+    # the tet fixes every vertex, so no bijection maps one stray edge onto
+    # the other; the maps the search builds never see them
+    for x, y in ((a, b), (b, a), (a, a), (single_tet(), a)):
+        with pytest.raises(ValueError, match=r"edges \[6\] and vertices \[5\] lie under no tet"):
+            are_isomorphic(x, y)
+    c = single_tet()
+    lone_vertex = OrderedComplex((*c.vertices, 9), c.edges, c.faces, c.tets)
+    with pytest.raises(ValueError, match=r"vertices \[9\] lie under no tet"):
+        are_isomorphic(lone_vertex, lone_vertex)
+    empty = OrderedComplex((), (), (), ())
+    assert are_isomorphic(empty, empty)
+
+
 def test_isomorphism_for_relabelled_singular_complex():
     c = solid_torus()
     r = relabel(c, {1: 3, 2: 1, 3: 2})
@@ -338,3 +358,43 @@ def test_walk_and_forest_are_cached():
     assert c.walk_edges is c.walk_edges
     assert c.walk_faces is c.walk_faces
     assert c.spanning_forest is c.spanning_forest
+
+
+def test_closing_order_sets_each_edge_off_the_forest_once():
+    for c, _ in _walk_cases():
+        order = c.closing_order
+        assert c.closing_order is order
+        assert sorted([e for e, _ in order] + list(c.spanning_forest)) == list(range(len(c.edges)))
+        done = set(c.spanning_forest)
+        for e, f in order:
+            if f is not None:
+                # e fills one slot of its forcing face; the others are set
+                assert c.faces[f].count(e) == 1
+                assert all(x in done for x in c.faces[f] if x != e)
+            done.add(e)
+
+
+def test_closing_order_branch_edges():
+    branches = {"single_tet": 0, "two_tet_ball": 0, "s3_boundary_4simplex": 0,
+                "s2_interval": 0, "s2_interval_big": 0, "solid_torus": 1}
+    for name, k in branches.items():
+        order = fixtures.COMPLEXES[name]().closing_order
+        assert sum(f is None for _, f in order) == k, name
+
+
+def test_closing_order_forces_and_branches():
+    # a triangle: the forest takes two edges in walk order, the face forces the third
+    bld = ComplexBuilder()
+    bld.add_face(bld.add_edge(0, 1), bld.add_edge(0, 2), bld.add_edge(1, 2))
+    c = bld.build()
+    assert c.spanning_forest == (0, 1) and c.closing_order == ((2, 0),)
+    # five loops at one vertex, so no forest, and faces (0,3,1), (0,3,2),
+    # (0,3,4): every score is 0 and edge 0 comes first in walk order; then
+    # edge 3 lies in three faces with two unset slots, the others in one
+    bld = ComplexBuilder()
+    loops = [bld.add_edge(0, 0) for _ in range(5)]
+    for other in (1, 2, 4):
+        bld.add_face(loops[0], loops[3], loops[other])
+    c = bld.build()
+    assert c.spanning_forest == ()
+    assert c.closing_order == ((0, None), (3, None), (1, 0), (2, 1), (4, 2))

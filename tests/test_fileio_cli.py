@@ -342,7 +342,7 @@ def test_cli_deterministic_output(capsys):
 
 
 def test_cli_fast_engine_budget_is_a_clean_error(capsys):
-    # this pair needs 37 search nodes; a --budget below that stops it
+    # this pair needs 15 search nodes; a --budget below that stops it
     assert main(["invariant", "--complex", "s2_interval_big", "--cm", "conj_z3",
                  "--budget", "10"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -236,6 +236,38 @@ def test_large_ball_gives_the_ball_value(p14_ball):
         assert time.perf_counter() - start < 1.0, name
 
 
+def test_large_ball_needs_one_node_per_edge_off_the_forest(p14_ball):
+    # 1206 edges, 303 of them in the spanning forest: a face forces each of
+    # the other 903, so the search is one path of one node per edge
+    assert len(p14_ball.edges) - len(p14_ball.spanning_forest) == 903
+    for name in fixtures.CM_NAMES:
+        cm = fixtures.crossed_module(name)
+        value = invariant(cm, p14_ball, node_budget=903).value
+        assert value == Fraction(cm.h.order, cm.g.order), name
+
+
+def test_search_node_counts_are_pinned():
+    # a forced edge is one node, a branch edge one per coset representative
+    for cn, mn, nodes in (("s2_interval_big", "conj_z3", 15),
+                          ("solid_torus", "conj_z2z2", 37)):
+        cm, c = fixtures.crossed_module(mn), fixtures.COMPLEXES[cn]()
+        assert invariant(cm, c, node_budget=nodes).admissible_count > 0
+        with pytest.raises(SearchBudgetExceededError):
+            invariant(cm, c, node_budget=nodes - 1)
+
+
+def test_budget_error_says_how_far_it_got():
+    cases = (("solid_torus", "conj_z2z2", 5, "deepest depth 5 of 7 edges in the "
+              "closing order (1 branch, 6 forced)"),
+             ("s2_interval_big", "conj_z3", 14, "deepest depth 14 of 15 edges in the "
+              "closing order (0 branch, 15 forced)"))
+    for cn, mn, budget, where in cases:
+        with pytest.raises(SearchBudgetExceededError) as err:
+            invariant(fixtures.crossed_module(mn), fixtures.COMPLEXES[cn](), node_budget=budget)
+        assert str(err.value) == (f"fast engine spent its budget of {budget} search "
+                                  f"nodes; {where}")
+
+
 def _doubly_occupied():
     """A tet that references one face through three slots, and faces that
     reference one edge through several slots."""
@@ -298,7 +330,7 @@ def test_budget_gate_names_the_largest_table():
 
 
 def test_invariant_is_bounded_by_default(monkeypatch):
-    # this pair needs 37 search nodes
+    # this pair needs 15 search nodes
     monkeypatch.setenv("CMTOP_BUDGET", "10")
     with pytest.raises(SearchBudgetExceededError) as err:
         invariant(fixtures.crossed_module("conj_z3"), fixtures.s2_interval_big())
