@@ -12,8 +12,10 @@ the fixtures for D²×S¹ and S²×[0,1] need them.
 Local vertex order of a simplex is carried by its slot structure, never
 recomputed from vertex ids, so identified vertices are harmless.  The tet
 walk, the spanning forest and the closing order of the edges off it are
-cached on the complex too; the state-sum engine and the validator read
-them, and no other module walks the tets.
+cached on the complex too, with the closing order's per-depth plan and the
+layout of the face system that the state-sum engine searches and solves;
+the engine and the validator read them, and no other module walks the
+tets.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "OrderedComplex",
@@ -43,6 +45,26 @@ __all__ = [
 
 class ComplexStructureError(ValueError):
     """Slot tables are inconsistent (not a Δ-complex at all)."""
+
+
+class ClosingPlan(NamedTuple):
+    """The closing order per depth: the edge set there, the face that
+    forces it and the slot it fills in that face (-1 and -1 for a branch
+    edge), and the faces whose last edge it is."""
+
+    steps: tuple[tuple[int, int, int], ...]
+    faces_done_at: tuple[tuple[int, ...], ...]
+
+
+class TetSystem(NamedTuple):
+    """The layout of one equation per tet and one unknown per face: the
+    tets in reverse walk order (the rows), each row's (23) edge, and per
+    face in walk order its places as (row, slot is 0, sign), sign +1 for
+    slots 0 and 2 and -1 for slots 1 and 3."""
+
+    rows: tuple[int, ...]
+    row_e23: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, bool, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -231,6 +253,35 @@ class OrderedComplex:
             unset[e] = False
             update(self.edge_faces[e])
         return tuple(order)
+
+    @cached_property
+    def closing_plan(self) -> ClosingPlan:
+        """The closing order laid out per depth for the state-sum search."""
+        order, faces = self.closing_order, self.faces
+        depth = [-1] * len(self.edges)  # the forest's edges are set before any depth
+        for i, (e, _) in enumerate(order):
+            depth[e] = i
+        # every face has an edge off the forest: its three edges close a
+        # cycle or one of them is a loop, and the forest holds neither
+        done_at: list[list[int]] = [[] for _ in order]
+        for f, (e01, e02, e12) in enumerate(faces):
+            done_at[max(depth[e01], depth[e02], depth[e12])].append(f)
+        steps = tuple((e, -1, -1) if f is None else (e, f, faces[f].index(e))
+                      for e, f in order)
+        return ClosingPlan(steps, tuple(map(tuple, done_at)))
+
+    @cached_property
+    def tet_system(self) -> TetSystem:
+        """The rows and columns of the state sum's linear system on the
+        face colors.  The rows are the tets in reverse walk order, so a
+        reduction that pivots on the last row starts each face's column at
+        the tet where the walk first met the face."""
+        rows = tuple(t for component in reversed(self.walk) for t in reversed(component))
+        row = {t: i for i, t in enumerate(rows)}
+        columns = tuple(tuple((row[t], s == 0, 1 if s in (0, 2) else -1)
+                              for t, s in self.face_incidence[f])
+                        for f in self.walk_faces)
+        return TetSystem(rows, tuple(self.faces[self.tets[t][3]][2] for t in rows), columns)
 
     @cached_property
     def simplicial(self) -> bool:

@@ -18,13 +18,17 @@ it, the brute-force oracle for one that lacks it.  ``cmtop validate-cm``
 rejects a module that lacks it unless given ``--no-peiffer``.
 
 The action is stored as a tuple of int tuples, like the group tables, so a
-crossed module is immutable and compares and hashes by value.
+crossed module is immutable and compares and hashes by value.  What the
+state-sum engine reads of a module alone (the Peiffer flag, the boundary
+tables and the kernel's coordinates) is derived on first use and cached on
+the instance, so a module evaluated on many complexes builds it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .groups import (
     FiniteGroup,
@@ -46,6 +50,29 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.axiom} at {self.witness}: {self.detail}"
+
+
+class BoundaryTables(NamedTuple):
+    """ker(bnd) in ascending order; per element x of G its least preimage
+    under bnd, or -1 outside S = im(bnd), and the least element of its
+    coset S x; those least elements, one per coset; and |S|."""
+
+    kernel: tuple[int, ...]
+    preimage: tuple[int, ...]
+    coset_rep: tuple[int, ...]
+    coset_reps: tuple[int, ...]
+    image_order: int
+
+
+class KernelCoordinates(NamedTuple):
+    """A = ker(bnd), abelian, as Z^r modulo a relation lattice: the exponent
+    D of A, the generators a_1..a_r, each element's coordinates, and the
+    relation rows as sparse {coordinate: entry mod D} dicts.  Read-only."""
+
+    exponent: int
+    generators: tuple[int, ...]
+    coord: dict[int, tuple[int, ...]]
+    relations: tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -80,6 +107,52 @@ class CrossedModule:
 
     def image_of_boundary(self) -> frozenset[int]:
         return frozenset(self.boundary.map)
+
+    @cached_property
+    def has_peiffer_identity(self) -> bool:
+        """No ``peiffer_violations``; computed once per instance."""
+        return not peiffer_violations(self)
+
+    @cached_property
+    def boundary_tables(self) -> BoundaryTables:
+        """ker(bnd), the preimages and the cosets of im(bnd); computed once."""
+        g, bnd = self.g, self.boundary.map
+        pre = [-1] * g.order
+        for y in range(self.h.order - 1, -1, -1):
+            pre[bnd[y]] = y
+        image = set(bnd)
+        rep = [-1] * g.order
+        for x in range(g.order):
+            if rep[x] < 0:
+                for s in image:
+                    rep[g.table[s][x]] = x
+        return BoundaryTables(tuple(sorted(self.kernel_of_boundary())), tuple(pre), tuple(rep),
+                              tuple(x for x in range(g.order) if rep[x] == x), len(image))
+
+    @cached_property
+    def kernel_coordinates(self) -> KernelCoordinates:
+        """Each generator a_l is the least element of A = ker(bnd) outside
+        the subgroup of the earlier ones, and m_l its order modulo that
+        subgroup; the relations m_l e_l - coord(a_l^m_l) form a triangular
+        basis of the lattice.  Every element gets the exponents of its word
+        in the generators as coordinates, and entries live mod D.  Needs A
+        abelian, as the Peiffer identity makes it."""
+        h, ker = self.h, self.boundary_tables.kernel
+        d = max(h.element_order(a) for a in ker)
+        coord, gens, rels = {0: ()}, [], []
+        for a in ker:
+            if a in coord:
+                continue
+            powers, x = [0], a
+            while x not in coord:
+                powers.append(x)
+                x = h.mul(x, a)
+            rels.append({q: -v % d for q, v in enumerate(coord[x]) if v}
+                        | {len(gens): len(powers)})
+            coord = {h.mul(y, p): v + (i,)
+                     for y, v in coord.items() for i, p in enumerate(powers)}
+            gens.append(a)
+        return KernelCoordinates(d, tuple(gens), coord, tuple(rels))
 
     def kernel_is_central(self) -> bool:
         ker = self.kernel_of_boundary()

@@ -40,14 +40,24 @@ k_f, and the face colors are the solutions of one linear system over the
 abelian group A, twisted by the G-action: one equation per tet, one
 unknown per face.  It has none, or as many solutions as the homogeneous
 system has, counted by elimination mod the exponent of A (Gaussian
-elimination over F_p when A is elementary abelian).  The complex's cached
-closing order orders the edge search, its spanning forest is the one
-pinned, and its tet walk orders the system's rows and columns; the search
-is an explicit-stack loop, so no complex is too large for the recursion
-limit.  The engine never enumerates the full space, is bounded by a budget
-of search nodes (one per edge value tried: one per forced edge, one per
+elimination over F_p when A is elementary abelian).  The search is an
+explicit-stack loop, so no complex is too large for the recursion limit.
+The engine never enumerates the full space, is bounded by a budget of
+search nodes (one per edge value tried: one per forced edge, one per
 representative at a branch edge), and must agree with the oracle exactly
 wherever both run.
+
+A call builds only what depends on the pair.  What depends on one side
+alone is built on first use and cached on that instance, so evaluating one
+complex under many modules, or one module on many complexes, builds it
+once.  On the complex (``OrderedComplex``): the spanning forest that is
+pinned, the closing order laid out per depth with the faces each depth
+closes (``closing_plan``), and the rows and columns of the linear system
+in tet-walk order (``tet_system``).  On the module (``CrossedModule``):
+the Peiffer flag that picks the engine, ker(bnd), the preimage and coset
+tables of im(bnd) (``boundary_tables``), and the coordinates of A with its
+relations (``kernel_coordinates``).  A budget is 0 or more; ``None`` reads
+``CMTOP_BUDGET``.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import OrderedComplex
-from .crossed_modules import CrossedModule, peiffer_violations
+from .crossed_modules import CrossedModule
 from .groups import FiniteGroup
 
 DEFAULT_BUDGET = 10**8
@@ -80,8 +90,23 @@ class SearchBudgetExceededError(BudgetExceededError):
 
 
 def default_budget() -> int:
+    """``CMTOP_BUDGET`` when set, else ``DEFAULT_BUDGET``."""
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR}={raw!r} is not an integer") from None
+
+
+def _budget(budget: int | None) -> int:
+    """The budget to use: ``budget``, or ``default_budget()`` for None.
+    A negative budget is refused; 0 allows no search node or table entry."""
+    budget = default_budget() if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative; it must be 0 or more")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -104,8 +129,13 @@ class InvariantValue:
     @classmethod
     def from_admissible_count(cls, n: int, g_order: int, h_order: int,
                               a: int, b: int) -> "InvariantValue":
-        value = Fraction(n) * Fraction(g_order) ** a * Fraction(h_order) ** b
-        return cls(value=value, admissible_count=n, g_exponent=a, h_exponent=b)
+        num, den = n, 1
+        for base, exponent in ((g_order, a), (h_order, b)):
+            if exponent >= 0:
+                num *= base**exponent
+            else:
+                den *= base**-exponent
+        return cls(value=Fraction(num, den), admissible_count=n, g_exponent=a, h_exponent=b)
 
     def __str__(self) -> str:
         v = self.value
@@ -176,7 +206,7 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     """
     import numpy as np
 
-    budget = default_budget() if budget is None else budget
+    budget = _budget(budget)
     g, h, E, F = cm.g, cm.h, len(c.edges), len(c.faces)
     sizes = [g.order] * E + [h.order] * F  # variables: the edges, then the faces
     space = math.prod(sizes)
@@ -251,62 +281,46 @@ class _Engine:
     representative of S = im(bnd) at a factor |S| each.  It assigns those
     edges in the complex's closing order: a forced edge takes the one
     representative its forcing face allows, a branch edge each in turn, and
-    each face is checked at its last edge."""
+    each face is checked at its last edge.
+
+    What depends on one side alone is cached on that side and shared by
+    every call: the complex's ``closing_plan`` and ``tet_system``, the
+    module's ``boundary_tables`` and ``kernel_coordinates``.  The engine
+    holds only what depends on both or on the search: the gauge factor, the
+    relations copied once per tet, the edge colors, the faces' required
+    boundary images and the budget."""
 
     def __init__(self, cm: CrossedModule, c: OrderedComplex, node_budget: int):
         self.cm = cm
         self.c = c
         self.node_budget = node_budget
-        g, h = cm.g, cm.h
-        self.mul_g, self.inv_g = g.table, g.inverses
-        self.mul_h, self.inv_h = h.table, h.inverses
-        self.act = cm.action
-        self.bnd = cm.boundary.map
-        self.ker = sorted(cm.kernel_of_boundary())
-        pre = [-1] * g.order
-        for y in range(h.order - 1, -1, -1):
-            pre[self.bnd[y]] = y
-        self.pre = pre  # one preimage per image element, -1 outside the image
-        self.faces = c.faces
-        self.tets = c.tets
-        self.tet_e23 = [self.faces[f123][2] for (_, _, _, f123) in self.tets]
-        order = c.closing_order
-        depth = [-1] * len(c.edges)  # the forest's edges are set before any depth
-        for i, (e, _) in enumerate(order):
-            depth[e] = i
-        # every face has an edge off the forest: its three edges close a
-        # cycle or one of them is a loop, and the forest holds neither
-        self.faces_done_at = [[] for _ in order]
-        for f, (e01, e02, e12) in enumerate(self.faces):
-            self.faces_done_at[max(depth[e01], depth[e02], depth[e12])].append(f)
-        # per depth: the edge, its forcing face and the slot it fills there,
-        # or -1 and -1 for a branch edge
-        self.steps = [(e, -1, -1) if f is None else (e, f, self.faces[f].index(e))
-                      for e, f in order]
-        image = set(self.bnd)
-        rep = self.rep = [-1] * g.order  # the least element of each coset S x
-        for x in range(g.order):
-            if rep[x] < 0:
-                for s in image:
-                    rep[self.mul_g[s][x]] = x
-        self.reps = [x for x in range(g.order) if rep[x] == x]
-        self.factor = g.order**len(c.spanning_forest) * len(image)**len(order)
-        if len(self.ker) > 1:
-            self._coordinates()
+        self.plan = c.closing_plan
+        self.tables = cm.boundary_tables
+        self.factor = (cm.g.order**len(c.spanning_forest)
+                       * self.tables.image_order**len(self.plan.steps))
+        if len(self.tables.kernel) > 1:
+            self.system = c.tet_system
+            self.coords = cm.kernel_coordinates
+            r = len(self.coords.generators)
+            self.relations = {i * r + l: {i * r + q: x for q, x in rel.items()}
+                              for i in range(len(self.system.rows))
+                              for l, rel in enumerate(self.coords.relations)}
 
     def run(self) -> int:
         """N: the gauge factor times the face counts summed over the leaves
         of an explicit-stack search along the closing order."""
-        steps, done_at, reps, rep = self.steps, self.faces_done_at, self.reps, self.rep
-        mul, inv, pre, faces = self.mul_g, self.inv_g, self.pre, self.faces
+        (steps, done_at), tables = self.plan, self.tables
+        pre, rep, reps = tables.preimage, tables.coset_rep, tables.coset_reps
+        mul, inv, faces = self.cm.g.table, self.cm.g.inverses, self.c.faces
+        # with A = ker(bnd) = {e} every w_t(b) is e: each leaf counts once
+        solve = len(tables.kernel) > 1
         ga = self.g_assign = [0] * len(self.c.edges)
         req = self.req = [-1] * len(faces)
         tried = [0] * len(steps)  # values tried so far at each depth
         total, depth, deepest, nodes, budget = 0, 0, 0, 0, self.node_budget
         while depth >= 0:
             if depth == len(steps):
-                # with A = ker(bnd) = {e} every w_t(b) is e: each leaf counts once
-                total += self._solve() if len(self.ker) > 1 else 1
+                total += self._solve() if solve else 1
                 depth -= 1
                 continue
             e, force, slot = steps[depth]
@@ -343,7 +357,8 @@ class _Engine:
         return total * self.factor
 
     def _over_budget(self, deepest: int) -> SearchBudgetExceededError:
-        n, branch = len(self.steps), sum(slot < 0 for _, _, slot in self.steps)
+        steps = self.plan.steps
+        n, branch = len(steps), sum(slot < 0 for _, _, slot in steps)
         return SearchBudgetExceededError(
             f"fast engine spent its budget of {self.node_budget} search nodes; "
             f"deepest depth {deepest} of {n} edges in the closing order "
@@ -351,50 +366,17 @@ class _Engine:
 
     # ----- face colors, given all edge colors -----
 
-    def _coordinates(self) -> None:
-        """Write A = ker(bnd), central and so abelian, as Z^r modulo a relation lattice,
-        and lay out the linear system of ``_solve``.
-
-        Each generator a_l is the least element outside the subgroup S of
-        the earlier ones, and m_l its order modulo S; the relations
-        m_l e_l - coord(a_l^m_l) form a triangular basis of the lattice.
-        Every element gets the exponents of its word in the generators as
-        coordinates.  Entries live mod the exponent D of A.  The rows are the
-        tets in reverse walk order: ``_reduce`` pivots on the largest key, so
-        each face's column starts its reduction at the tet where the walk
-        first met the face.
-        """
-        h = self.cm.h
-        self.exponent = d = max(h.element_order(a) for a in self.ker)
-        coord, self.gens, rels = {0: ()}, [], []
-        for a in self.ker:
-            if a in coord:
-                continue
-            powers, x = [0], a
-            while x not in coord:
-                powers.append(x)
-                x = h.mul(x, a)
-            rels.append({q: -v % d for q, v in enumerate(coord[x]) if v}
-                        | {len(self.gens): len(powers)})
-            coord = {h.mul(y, p): v + (i,)
-                     for y, v in coord.items() for i, p in enumerate(powers)}
-            self.gens.append(a)
-        self.coord = coord
-        self.rows = [t for component in reversed(self.c.walk) for t in reversed(component)]
-        r = len(self.gens)
-        self.relations = {i * r + l: {i * r + q: x for q, x in rel.items()}
-                          for i in range(len(self.rows)) for l, rel in enumerate(rels)}
-        row = {t: i for i, t in enumerate(self.rows)}
-        # per face, in the order the walk meets them: (row, slot is 0, sign)
-        self.columns = [[(row[t], s == 0, 1 if s in (0, 2) else -1)
-                         for t, s in self.c.face_incidence[f]] for f in self.c.walk_faces]
-
     def _solve(self) -> int:
         """Face colorings of one leaf, without search.
 
         With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
         obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
-        equation per tet, one unknown per face.  Face f's column for a_l sums
+        equation per tet, one unknown per face.  A is written as Z^r modulo
+        the module's relation lattice (``kernel_coordinates``), with entries
+        mod its exponent; the complex's ``tet_system`` gives the rows (the
+        tets in reverse walk order, so ``_reduce``, which pivots on the
+        largest key, starts each face's column at the tet where the walk
+        first met the face) and the columns.  Face f's column for a_l sums
         g23 |> a_l over its slot-0 places, +a_l over slot 2 and -a_l over
         slots 1 and 3.  With the relations of the T copies of A the columns
         span a lattice L in Z^(rT), and the homogeneous map A^F -> A^T has an
@@ -404,11 +386,14 @@ class _Engine:
         change the count either.  A face in no tet has an empty column, so
         its factor is |A|.
         """
-        mh, ih, act, pre, req = self.mul_h, self.inv_h, self.act, self.pre, self.req
-        coord, gens, d, r = self.coord, self.gens, self.exponent, len(self.gens)
-        g23 = [self.g_assign[self.tet_e23[t]] for t in self.rows]
-        basis, image, onto = dict(self.relations), 1, len(self.ker)**len(self.tets)
-        for places in self.columns:
+        h, act, pre, req = self.cm.h, self.cm.action, self.tables.preimage, self.req
+        mh, ih, tets = h.table, h.inverses, self.c.tets
+        d, gens, coord = self.coords.exponent, self.coords.generators, self.coords.coord
+        rows, row_e23, columns = self.system
+        r, order = len(gens), len(self.tables.kernel)
+        g23 = [self.g_assign[e] for e in row_e23]
+        basis, image, onto = dict(self.relations), 1, order**len(rows)
+        for places in columns:
             if image == onto:
                 break
             for a in gens:
@@ -420,13 +405,13 @@ class _Engine:
                 image *= _reduce(basis, {k: x for k, x in col.items() if x}, d)
         if image < onto:
             constants = {}
-            for i, t in enumerate(self.rows):
-                b012, b013, b023, b123 = (pre[req[f]] for f in self.tets[t])
+            for i, t in enumerate(rows):
+                b012, b013, b023, b123 = (pre[req[f]] for f in tets[t])
                 w = coord[mh[mh[b023][act[g23[i]][b012]]][mh[ih[b123]][ih[b013]]]]
                 constants.update((i * r + q, x) for q, x in enumerate(w) if x)
             if _reduce(basis, constants, d) > 1:  # basis is this leaf's copy
                 return 0
-        return len(self.ker)**len(self.faces) // image
+        return order**len(self.c.faces) // image
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -486,10 +471,11 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     engine's search nodes (edge values tried along the closing order; see
     SearchBudgetExceededError), past which it raises
     SearchBudgetExceededError, and the entries of the oracle's largest
-    table, past which it raises BudgetExceededError.
+    table, past which it raises BudgetExceededError.  A negative budget
+    raises ValueError.
     """
-    node_budget = default_budget() if node_budget is None else node_budget
-    if peiffer_violations(cm):
+    node_budget = _budget(node_budget)
+    if not cm.has_peiffer_identity:
         return brute_force_invariant(cm, c, node_budget)
     return _result(_Engine(cm, c, node_budget).run(), cm, c)
 

@@ -348,6 +348,25 @@ def test_cli_fast_engine_budget_is_a_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_budget_env_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("CMTOP_BUDGET", "abc")
+    assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2"]) == 1
+    assert capsys.readouterr().err == "error: CMTOP_BUDGET='abc' is not an integer\n"
+
+
+def test_cli_refuses_a_negative_budget(monkeypatch, capsys):
+    for engine in ("fast", "brute"):
+        assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2",
+                     "--engine", engine, "--budget", "-1"]) == 1
+        assert capsys.readouterr().err == "error: budget -1 is negative; it must be 0 or more\n"
+    monkeypatch.setenv("CMTOP_BUDGET", "-5")
+    assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2"]) == 1
+    assert capsys.readouterr().err == "error: budget -5 is negative; it must be 0 or more\n"
+    # a budget of 0 still means no search node at all
+    assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2", "--budget", "0"]) == 1
+    assert "spent its budget of 0 search nodes" in capsys.readouterr().err
+
+
 def test_cli_selftest_takes_no_budget():
     # the selftest decides no budget; the engines' default applies
     with pytest.raises(SystemExit) as err:

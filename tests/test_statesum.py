@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 from conftest import naive_statesum
 
-from cmtop import fixtures
-from cmtop.complexes import ComplexBuilder, disjoint_union, relabel, validate_manifold_basics
-from cmtop.crossed_modules import make_crossed_module, peiffer_violations, reduction_cm
+from cmtop import crossed_modules, fixtures, statesum
+from cmtop.complexes import (
+    ComplexBuilder,
+    OrderedComplex,
+    disjoint_union,
+    relabel,
+    validate_manifold_basics,
+)
+from cmtop.crossed_modules import identity_cm, make_crossed_module, peiffer_violations, reduction_cm
 from cmtop.groups import FiniteGroup, build_cyclic, build_symmetric, build_trivial
 from cmtop.moves import MoveDescriptor, apply
+from cmtop.selftest import _cm_mutations
 from cmtop.statesum import (
     BudgetExceededError,
     SearchBudgetExceededError,
@@ -268,6 +275,70 @@ def test_budget_error_says_how_far_it_got():
                                   f"nodes; {where}")
 
 
+def test_set_up_is_cached_on_the_complex_and_on_the_module():
+    cm, c = fixtures.crossed_module("conj_z3"), fixtures.s2_interval_big()
+    first = invariant(cm, c)
+    plan, system = c.closing_plan, c.tet_system
+    tables, coords = cm.boundary_tables, cm.kernel_coordinates
+    for budget in (None, 15, 10**4):
+        assert invariant(cm, c, node_budget=budget) == first
+    assert c.closing_plan is plan and c.tet_system is system
+    assert cm.boundary_tables is tables and cm.kernel_coordinates is coords
+    # a relabeled or moved complex is a new instance with its own set-up
+    for other in (relabel(c, {v: 10 - v for v in c.vertices}),
+                  apply(c, MoveDescriptor("P14", 0))):
+        assert invariant(cm, other).value == first.value
+        assert other.closing_plan is not plan and other.tet_system is not system
+        assert c.closing_plan is plan and cm.boundary_tables is tables
+    # so is a mutated module: an action entry, then a boundary image
+    mutants = list(_cm_mutations(cm))
+    for mutant in (mutants[0], mutants[-1]):
+        assert mutant.boundary_tables is not tables
+    assert mutants[-1].boundary_tables != tables
+    assert cm.boundary_tables is tables
+
+
+def test_peiffer_identity_is_checked_once_per_module(monkeypatch):
+    calls = []
+
+    def counted(cm):
+        calls.append(cm)
+        return peiffer_violations(cm)
+
+    monkeypatch.setattr(crossed_modules, "peiffer_violations", counted)
+    oracle = []
+    monkeypatch.setattr(statesum, "brute_force_invariant",
+                        lambda *args: oracle.append(args) or brute_force_invariant(*args))
+    c = fixtures.single_tet()
+    strict = identity_cm(build_cyclic(2), "fresh_id_z2")
+    loose = _z4_z2_negation()
+    for _ in range(3):
+        assert invariant(strict, c).value == 1
+        assert invariant(loose, c).value == 2
+    assert calls == [strict, loose]
+    # the module without the identity goes to the oracle on every call
+    assert [args[0] for args in oracle] == [loose] * 3
+
+
+def test_budget_is_never_negative(monkeypatch):
+    cm, c = fixtures.crossed_module("id_z2"), fixtures.single_tet()
+    with pytest.raises(ValueError, match="budget -1 is negative"):
+        invariant(cm, c, node_budget=-1)
+    with pytest.raises(ValueError, match="budget -1 is negative"):
+        brute_force_invariant(cm, c, budget=-1)
+    monkeypatch.setenv("CMTOP_BUDGET", "-5")
+    with pytest.raises(ValueError, match="budget -5 is negative"):
+        invariant(cm, c)
+    # 0 allows no search node and no table entry
+    monkeypatch.setenv("CMTOP_BUDGET", "0")
+    with pytest.raises(SearchBudgetExceededError, match="budget of 0 search nodes"):
+        invariant(cm, c)
+    with pytest.raises(BudgetExceededError, match="over the budget of 0"):
+        brute_force_invariant(cm, c)
+    lone = OrderedComplex((1,), (), (), ())
+    assert invariant(cm, lone, node_budget=0).admissible_count == 1
+
+
 def _doubly_occupied():
     """A tet that references one face through three slots, and faces that
     reference one edge through several slots."""
@@ -444,6 +515,23 @@ def test_s2_interval_big_cross_check():
 def test_invariant_value_str():
     v = InvariantValue.from_admissible_count(64, 2, 2, -4, -2)
     assert str(v) == "Z = 1/1 (N=64, a=-4, b=-2)"
+
+
+def test_invariant_value_is_built_as_one_fraction():
+    cases = [(0, 2, 3, -4, -2), (0, 6, 4, 2, 3), (64, 2, 2, -4, -2), (5, 6, 4, -1, 1),
+             (7, 3, 2, 2, -3), (9, 6, 4, 2, 3), (12, 6, 4, 0, 0)]
+    for n, g, h, a, b in cases:
+        v = InvariantValue.from_admissible_count(n, g, h, a, b)
+        assert v.value == Fraction(n) * Fraction(g) ** a * Fraction(h) ** b
+        assert (v.admissible_count, v.g_exponent, v.h_exponent) == (n, a, b)
+    # a lone vertex has k0 = 1 and k1 = 0, so b = 1: one empty coloring, |H|/|G|
+    lone = OrderedComplex((1,), (), (), ())
+    for name in ("conj_z2z2", "trivh_s3", "z4_to_z2"):
+        cm = fixtures.crossed_module(name)
+        for engine in (invariant, brute_force_invariant):
+            v = engine(cm, lone)
+            assert (v.admissible_count, v.g_exponent, v.h_exponent) == (1, -1, 1)
+            assert v.value == Fraction(cm.h.order, cm.g.order)
 
 
 def _s3_sign():
