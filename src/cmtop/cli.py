@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "at a branch edge, none at a spanning-forest edge), "
                           "or entries of the oracle's largest table (--engine "
                           "brute, or a module without the Peiffer identity), "
-                          "allowed before exit 1 (default 1e8, env CMTOP_BUDGET)")
+                          f"allowed before exit 1 (default {statesum.DEFAULT_BUDGET}, "
+                          f"env {statesum.BUDGET_ENV_VAR})")
     inv.add_argument("--json", action="store_true")
     inv.set_defaults(func=_cmd_invariant)
 

@@ -16,6 +16,12 @@ cached on the complex too, with the closing order's per-depth plan and the
 layout of the face system that the state-sum engine searches and solves;
 the engine and the validator read them, and no other module walks the
 tets.
+
+``splice`` makes a move's result from its input: it cuts the dropped
+simplices out of the four tables by slices, appends the new ones,
+renumbers a table only when the dimension its slots point into lost
+simplices, and hands over the input's corner tables cut the same way.
+The other indices of the result are computed on first use.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
     "ComplexStructureError",
     "Boundary2Complex",
     "SimplexCounts",
+    "splice",
     "from_tet_list",
     "boundary",
     "validate_manifold_basics",
@@ -83,9 +90,10 @@ class OrderedComplex:
     """An ordered Δ-complex.  Immutable; moves produce new complexes.
 
     The four slot tables are the whole complex; every index below is
-    derived from them on first use.  Constructing one directly checks
-    nothing: callers either hold tables that satisfy the slot rules or go
-    through ComplexBuilder."""
+    derived from them on first use, except that ``splice`` hands a move's
+    result the corner tables ``face_locals`` and ``tet_locals``, cut from
+    its input's.  Constructing one directly checks nothing: callers either
+    hold tables that satisfy the slot rules or go through ComplexBuilder."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -131,9 +139,11 @@ class OrderedComplex:
     def face_incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each face, the (tet, slot) pairs that hold it, in tet order."""
         out: list[list[tuple[int, int]]] = [[] for _ in self.faces]
-        for t, slots in enumerate(self.tets):
-            for s, f in enumerate(slots):
-                out[f].append((t, s))
+        for t, (f0, f1, f2, f3) in enumerate(self.tets):
+            out[f0].append((t, 0))
+            out[f1].append((t, 1))
+            out[f2].append((t, 2))
+            out[f3].append((t, 3))
         return tuple(map(tuple, out))
 
     @cached_property
@@ -311,12 +321,16 @@ class OrderedComplex:
     @cached_property
     def vertex_stars(self) -> dict[int, tuple[tuple[int, ...], ...]]:
         """For each vertex, the tets, the edges and the faces it is a corner
-        of, each in index order."""
+        of, each in index order.  A simplex with a corner repeated (a loop,
+        say) is listed once: its repeats meet it at the end of the list."""
         stars: dict[int, tuple[list[int], ...]] = {v: ([], [], []) for v in self.vertices}
         for i, simplices in enumerate((self.tet_locals, self.edges, self.face_locals)):
+            lists = {v: star[i] for v, star in stars.items()}
             for s, corners in enumerate(simplices):
-                for v in set(corners):
-                    stars[v][i].append(s)
+                for v in corners:
+                    at = lists[v]
+                    if not at or at[-1] != s:
+                        at.append(s)
         return {v: tuple(map(tuple, star)) for v, star in stars.items()}
 
     def euler_characteristic(self) -> int:
@@ -327,6 +341,73 @@ class OrderedComplex:
         c = self.counts
         kind = "simplicial" if self.simplicial else "delta"
         return f"OrderedComplex({kind}, V={c.k0}, E={c.k1}, F={c.k2}, T={c.k3})"
+
+
+def splice(c: OrderedComplex, drop: Sequence[Sequence[int]], vertices: Sequence[int],
+           edges: Sequence[tuple[int, int]], faces: Sequence[tuple[int, int, int]],
+           tets: Sequence[tuple[int, int, int, int]]) -> OrderedComplex:
+    """c with the simplices in ``drop`` cut out and the new ones appended.
+
+    ``drop`` holds the vertex ids, then the edge, face and tet indices, to
+    cut, each ascending and distinct.  The new vertices must exceed every
+    id of c.  The new simplices are given by their slots in c's numbering
+    extended past its end: new edge i is edge ``len(c.edges) + i``, and
+    likewise for faces.
+
+    Cut: each table keeps its survivors in order, copied one slice per run
+    between dropped entries, and the new simplices follow them.
+    Renumbered: a table only when the dimension its slots point into lost
+    simplices, the faces when edges were dropped and the tets when faces
+    were, each through one old-to-new list over the old and new indices.
+    Handed over: corners are vertex ids, which no renumbering changes, so
+    the result takes c's ``face_locals`` and ``tet_locals`` cut by the same
+    slices, with the new simplices' corners appended, and computes neither.
+
+    Renumbering keeps every slot agreement among survivors.  Nothing here
+    checks the new simplices against the slot rules, nor that each simplex
+    with a slot on a dropped one is dropped too; the caller owes both."""
+    drop_v, drop_e, drop_f, drop_t = drop
+    all_edges = c.edges + tuple(edges)
+    all_faces = c.faces + tuple(faces)
+    face_locals = c.face_locals + tuple((*all_edges[e01], all_edges[e02][1])
+                                        for e01, e02, _ in faces)
+    tet_locals = c.tet_locals + tuple((*face_locals[f012], face_locals[f013][2])
+                                      for f012, f013, _, _ in tets)
+    out_faces = _cut(all_faces, drop_f)
+    if drop_e:
+        out_faces = _renumbered(out_faces, len(all_edges), drop_e)
+    out_tets = _cut(c.tets + tuple(tets), drop_t)
+    if drop_f:
+        out_tets = _renumbered(out_tets, len(all_faces), drop_f)
+    out = OrderedComplex(_cut(c.vertices, [c.vertices.index(v) for v in drop_v]) + tuple(vertices),
+                         _cut(all_edges, drop_e), out_faces, out_tets)
+    vars(out).update(face_locals=_cut(face_locals, drop_f), tet_locals=_cut(tet_locals, drop_t))
+    return out
+
+
+def _cut(table: tuple, drop: Sequence[int]) -> tuple:
+    """The table less the entries at the ascending indices ``drop``."""
+    if not drop:
+        return table
+    out, start = [], 0
+    for i in drop:
+        out += table[start:i]
+        start = i + 1
+    out += table[start:]
+    return tuple(out)
+
+
+def _renumbered(table: tuple, n: int, drop: Sequence[int]) -> tuple:
+    """Each entry's slots, which point into n simplices of which the
+    ascending ``drop`` were cut, renamed to the survivors' new indices."""
+    new, start = [], 0
+    for k, i in enumerate(drop):
+        new += range(start - k, i - k)
+        new.append(None)  # a survivor cannot name it
+        start = i + 1
+    new += range(start - len(drop), n - len(drop))
+    rename = new.__getitem__
+    return tuple([tuple(map(rename, slots)) for slots in table])
 
 
 def face_slot_error(edges: Sequence[tuple[int, int]], slots: Sequence[int]) -> str | None:

@@ -23,10 +23,15 @@ so it decides each candidate without assembling a patch, let alone
 building a complex.  ``apply`` runs the precondition, then the assembly,
 which puts the move together as a patch against its input (the simplices
 it drops and the ones it adds, each new face and tet given its slot order
-directly), then builds the patch: the surviving simplices are renumbered,
-which keeps every slot agreement they had, and only the new faces and
-tets are checked against the slot rules of ``complexes``.  Indices named
-in a MoveError refer to the input complex.
+directly), then builds the patch with ``complexes.splice``.  That cuts the
+dropped simplices out of the input's tables, a slice per run of
+survivors, and appends the new ones.  It renumbers the faces only when
+edges were dropped and the tets only when faces were, so P14, B13 and P23
+renumber no face, and it hands the input's corner tables (``face_locals``
+and ``tet_locals``) over to the result, cut the same way.  Survivors keep
+every slot agreement they had, so only the new faces and tets are checked
+against the slot rules of ``complexes``.  Indices named in a MoveError
+refer to the input complex.
 
 Beyond incidence and embedding, the preconditions check orientation: each
 new face and tet needs a slot order, so the edges among its corners must
@@ -55,7 +60,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import ComplexStructureError, OrderedComplex, face_slot_error, tet_slot_error
+from .complexes import (ComplexStructureError, OrderedComplex, face_slot_error, splice,
+                        tet_slot_error)
 
 MOVE_KINDS = ("P14", "P41", "P23", "P32", "B13", "B31", "B22")
 
@@ -131,11 +137,11 @@ def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
 class _Patch:
     """A move put together against its input complex: what it drops and
     what it adds.  New edges, faces and tets are numbered after the input's
-    last one, so input indices stay valid until ``build`` renumbers."""
+    last one, so input indices stay valid until ``build`` splices."""
 
     def __init__(self, c: OrderedComplex, vertices=(), edges=(), faces=(), tets=()):
         self.c = c
-        self.drop = (set(vertices), set(edges), set(faces), set(tets))
+        self.drop = tuple(map(sorted, (vertices, edges, faces, tets)))
         self.vertices: list[int] = []
         self.edges: list[tuple[int, int]] = []
         self.faces: list[tuple[int, int, int]] = []
@@ -153,27 +159,11 @@ class _Patch:
         self.tets.append((f012, f013, f023, f123))
 
     def build(self) -> OrderedComplex:
-        """The surviving simplices, then the new ones, renumbered in order.
-        Renumbering is a bijection onto the kept simplices, so a survivor
-        keeps every slot agreement it had (one whose slot names a dropped
-        simplex fails the lookup); only the new faces and tets are checked
-        against the slot rules."""
-        c = self.c
-        drop_v, drop_e, drop_f, drop_t = self.drop
-
-        def kept(old, new, drop):
-            return [(i, s) for i, s in enumerate(itertools.chain(old, new)) if i not in drop]
-
-        edges = kept(c.edges, self.edges, drop_e)
-        faces = kept(c.faces, self.faces, drop_f)
-        tets = kept(c.tets, self.tets, drop_t)
-        new_e = {e: i for i, (e, _) in enumerate(edges)}
-        new_f = {f: i for i, (f, _) in enumerate(faces)}
-        out = OrderedComplex(
-            tuple(v for v in c.vertices if v not in drop_v) + tuple(self.vertices),
-            tuple(s for _, s in edges),
-            tuple(tuple(new_e[e] for e in s) for _, s in faces),
-            tuple(tuple(new_f[f] for f in s) for _, s in tets))
+        """The input spliced (``complexes.splice``): survivors in order,
+        then the new simplices.  Survivors keep every slot agreement they
+        had, so only the new faces and tets are checked against the slot
+        rules."""
+        out = splice(self.c, self.drop, self.vertices, self.edges, self.faces, self.tets)
         new_faces = out.faces[len(out.faces) - len(self.faces):]
         new_tets = out.tets[len(out.tets) - len(self.tets):]
         for error in itertools.chain((face_slot_error(out.edges, s) for s in new_faces),

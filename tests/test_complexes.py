@@ -398,3 +398,18 @@ def test_closing_order_forces_and_branches():
     c = bld.build()
     assert c.spanning_forest == ()
     assert c.closing_order == ((0, None), (3, None), (1, 0), (2, 1), (4, 2))
+
+
+def test_vertex_stars_list_a_simplex_once_whatever_its_repeated_corners():
+    # solid_torus has loops, faces and tets with a corner twice: each is
+    # listed once in that vertex's star, as a set of corners would give
+    torus = fixtures.solid_torus()
+    assert torus.edges[3] == (1, 1) and torus.tet_locals[0] == (1, 2, 3, 3)
+    assert torus.vertex_stars == {1: ((0, 1, 2), (0, 1, 3, 6, 7), (0, 1, 2, 3, 6, 7, 8)),
+                                  2: ((0, 1, 2), (0, 2, 4, 6, 8), (0, 1, 4, 5, 6, 7, 8)),
+                                  3: ((0, 1, 2), (1, 2, 5, 7, 8), (2, 3, 4, 5, 6, 7, 8))}
+    for c, _ in _walk_cases():
+        assert c.vertex_stars == {
+            v: tuple(tuple(s for s, corners in enumerate(table) if v in set(corners))
+                     for table in (c.tet_locals, c.edges, c.face_locals))
+            for v in c.vertices}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from cmtop.fileio import (
     parse_group,
 )
 from cmtop.groups import build_cyclic
-from cmtop.statesum import invariant
+from cmtop.statesum import DEFAULT_BUDGET, invariant
 
 
 def test_group_round_trip(tmp_path):
@@ -352,6 +353,23 @@ def test_cli_budget_env_must_be_an_integer(monkeypatch, capsys):
     monkeypatch.setenv("CMTOP_BUDGET", "abc")
     assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2"]) == 1
     assert capsys.readouterr().err == "error: CMTOP_BUDGET='abc' is not an integer\n"
+
+
+def test_cli_budget_default_in_help_is_taken_as_written(monkeypatch, capsys):
+    # the default that `invariant --help` prints is a value --budget and
+    # CMTOP_BUDGET both accept verbatim
+    with pytest.raises(SystemExit) as err:
+        main(["invariant", "--help"])
+    assert err.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    default = re.search(r"\(default (\S+), env CMTOP_BUDGET\)", help_text).group(1)
+    assert default == str(DEFAULT_BUDGET)
+    assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2",
+                 "--budget", default]) == 0
+    assert capsys.readouterr().out.startswith("Z = 1/1 (N=64")
+    monkeypatch.setenv("CMTOP_BUDGET", default)
+    assert main(["invariant", "--complex", "single_tet", "--cm", "id_z2"]) == 0
+    assert capsys.readouterr().out.startswith("Z = 1/1 (N=64")
 
 
 def test_cli_refuses_a_negative_budget(monkeypatch, capsys):

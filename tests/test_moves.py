@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -224,14 +225,19 @@ def test_enumeration_builds_nothing(monkeypatch):
     # enumeration decides each candidate from its precondition alone: it
     # neither assembles a patch nor builds a complex, for any kind
     *_, c = walk("s2_interval", seed=1)
+    real_patch = moves._Patch
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_applicable assembled or built a move")
 
     monkeypatch.setattr(moves, "_Patch", refuse)
     monkeypatch.setattr(moves, "OrderedComplex", refuse)
+    monkeypatch.setattr(moves, "splice", refuse)
     found = {kind: enumerate_applicable(c, kind) for kind in MOVE_KINDS}
     assert all(found.values()), found
+    with pytest.raises(AssertionError, match="assembled or built"):
+        apply(c, found["P41"][0])
+    monkeypatch.setattr(moves, "_Patch", real_patch)
     with pytest.raises(AssertionError, match="assembled or built"):
         apply(c, found["P41"][0])
 
@@ -302,3 +308,99 @@ def test_inverse_kind_table():
     assert INVERSE_KIND["P14"] == "P41"
     assert INVERSE_KIND["B22"] == "B22"
     assert set(INVERSE_KIND) == set(MOVE_DELTAS)
+
+
+def patch(c, m):
+    """The patch that apply builds for m on c."""
+    _, precondition, assembly = moves._MOVES[m.kind]
+    return assembly(c, precondition(c, m.target, m.new_vertex))
+
+
+def renumbered(p):
+    """The four tables of a patch's result by a dict per dimension: the
+    survivors keep their order, the new simplices come last, and every
+    slot is renamed to its simplex's place among them."""
+    c = p.c
+    drop_v, drop_e, drop_f, drop_t = map(set, p.drop)
+
+    def kept(old, new, drop):
+        return [(i, s) for i, s in enumerate([*old, *new]) if i not in drop]
+
+    edges = kept(c.edges, p.edges, drop_e)
+    faces = kept(c.faces, p.faces, drop_f)
+    tets = kept(c.tets, p.tets, drop_t)
+    new_e = {e: i for i, (e, _) in enumerate(edges)}
+    new_f = {f: i for i, (f, _) in enumerate(faces)}
+    return ((*(v for v in c.vertices if v not in drop_v), *p.vertices),
+            tuple(s for _, s in edges),
+            tuple(tuple(new_e[e] for e in s) for _, s in faces),
+            tuple(tuple(new_f[f] for f in s) for _, s in tets))
+
+
+def spliced(c, m):
+    """apply(c, m), with its tables checked against ``renumbered`` and its
+    corner tables, handed over rather than computed, against a fresh
+    build of those tables."""
+    out = apply(c, m)
+    tables = (out.vertices, out.edges, out.faces, out.tets)
+    assert tables == renumbered(patch(c, m)), (c, m)
+    assert {"face_locals", "tet_locals"} <= vars(out).keys(), (c, m)
+    fresh = OrderedComplex(*tables)
+    assert out.face_locals == fresh.face_locals, (c, m)
+    assert out.tet_locals == fresh.tet_locals, (c, m)
+    return out
+
+
+def test_apply_renumbers_as_a_dict_per_dimension_would():
+    # every move enumerated along walks from every valid fixture, singular
+    # ones included, gives the dict rule's tables and the corner tables a
+    # fresh complex computes
+    applied = Counter()
+    for name in fixtures.VALID_COMPLEX_NAMES:
+        for c in walk(name, seed=3, max_tets=25):
+            for kind in MOVE_KINDS:
+                for m in enumerate_applicable(c, kind):
+                    spliced(c, m)
+                    applied[name, kind] += 1
+    for name in ("solid_torus", "s2_interval"):
+        assert {kind for n, kind in applied if n == name} == set(MOVE_KINDS), applied
+
+
+def scattered(c, v):
+    """c rebuilt from its tets with vertex v renamed to 3 and the ids from
+    3 up to below v moved up one, so v's star is spread through every
+    table rather than lying at its end."""
+    perm = {u: u + 1 if 3 <= u < v else 3 if u == v else u for u in c.vertices}
+    return relabel(c, perm)
+
+
+@pytest.mark.parametrize("start, cone, uncone, cut", [
+    (fixtures.s3_boundary_4simplex, "P14", "P41", (1, 4, 6, 4)),
+    (fixtures.single_tet, "B13", "B31", (1, 4, 6, 3)),
+])
+def test_uncone_cuts_a_scattered_star(start, cone, uncone, cut):
+    # the star of the coned vertex, spread through the tables: P41 cuts 4
+    # edges, 6 faces and 4 tets, B31 4, 6 and 3 (and adds a base face),
+    # and both give back the start
+    c0 = start()
+    coned = apply(c0, MoveDescriptor(cone, 0, 6))
+    c = scattered(coned, 6)
+    p = patch(c, MoveDescriptor(uncone, 3))
+    assert tuple(map(len, p.drop)) == cut
+    assert any(b - a > 1 for drop in p.drop[1:] for a, b in zip(drop, drop[1:])), p.drop
+    out = spliced(c, MoveDescriptor(uncone, 3))
+    assert are_isomorphic(out, c0)
+
+
+def test_b22_renumbers_faces_and_tets():
+    # B22 cuts one edge, three faces and two tets and adds as many; the
+    # B22 on its new edge, the last one, flips back
+    c = scattered(apply(fixtures.single_tet(), MoveDescriptor("B13", 3, 5)), 5)
+    found = enumerate_applicable(c, "B22")
+    assert found
+    for m in found:
+        p = patch(c, m)
+        assert tuple(map(len, p.drop)) == (0, 1, 3, 2)
+        assert (len(p.edges), len(p.faces), len(p.tets)) == (1, 3, 2)
+        out = spliced(c, m)
+        assert are_isomorphic(spliced(out, MoveDescriptor("B22", len(out.edges) - 1)), c)
