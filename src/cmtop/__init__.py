@@ -18,7 +18,6 @@ from .complexes import (
 from .crossed_modules import (
     CrossedModule,
     Violation,
-    act,
     conjugation_cm,
     identity_cm,
     make_crossed_module,
@@ -36,7 +35,6 @@ from .groups import (
     build_direct_product,
     build_symmetric,
     build_trivial,
-    compose,
     kernel,
 )
 from .knot_words import (

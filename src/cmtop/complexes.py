@@ -11,11 +11,11 @@ the fixtures for D²×S¹ and S²×[0,1] need them.
 
 Local vertex order of a simplex is carried by its slot structure, never
 recomputed from vertex ids, so identified vertices are harmless.  The tet
-walk, the spanning forest and the closing order of the edges off it are
-cached on the complex too, with the closing order's per-depth plan and the
-layout of the face system that the state-sum engine searches and solves;
-the engine and the validator read them, and no other module walks the
-tets.
+walk, the spanning forest, the closing plan (the edges off the forest in
+closing order, one per depth, with the faces each depth closes) and the
+layout of the face system that the state-sum engine searches and solves
+are cached on the complex too; the engine and the validator read them,
+and no other module walks the tets.
 
 ``splice`` makes a move's result from its input: it cuts the dropped
 simplices out of the four tables by slices, appends the new ones,
@@ -198,9 +198,11 @@ class OrderedComplex:
         return tuple(forest)
 
     @cached_property
-    def closing_order(self) -> tuple[tuple[int, int | None], ...]:
-        """The edges off the spanning forest, each paired with the face that
-        forces it, or with None for a branch edge.
+    def closing_plan(self) -> ClosingPlan:
+        """The closing order of the edges off the spanning forest, laid out
+        per depth for the state-sum search: each edge with the face that
+        forces it and the slot it fills there, or -1 and -1 for a branch
+        edge, and the faces whose last edge it is.
 
         The forest's edges are set first.  While some face has exactly one
         unset slot, its edge comes next, forced by that face.  Otherwise the
@@ -225,13 +227,16 @@ class OrderedComplex:
         heap = [(0, pos[e], e) for e in self.walk_edges if unset[e]]
         left = [0] * len(faces)  # unset slots, per face
         ready = deque()
-        order = []
+        steps: list[tuple[int, int, int]] = []
+        done_at: list[list[int]] = []
 
         def update(changed):  # recount the unset slots of these faces
             for f in changed:
                 a, b, c = faces[f]
                 n = unset[a] + unset[b] + unset[c]
-                if n == 1:
+                if n == 0:  # done at this depth; not at the start, as the
+                    done_at[-1].append(f)  # forest holds no face's cycle or loop
+                elif n == 1:
                     ready.append(f)
                 elif n == 2:  # it had three: counts only fall
                     x, y = (a, b) if unset[a] and unset[b] else (a, c) if unset[a] else (b, c)
@@ -243,15 +248,15 @@ class OrderedComplex:
                 left[f] = n
 
         update(self.walk_faces)
-        while len(order) < len(self.edges) - len(forest):
+        while len(steps) < len(self.edges) - len(forest):
             while ready and left[ready[0]] != 1:
                 ready.popleft()
             if ready:
                 force = ready.popleft()
                 a, b, c = faces[force]
-                e = a if unset[a] else b if unset[b] else c
+                e, slot = (a, 0) if unset[a] else (b, 1) if unset[b] else (c, 2)
             else:
-                force = None
+                force = slot = -1
                 for e in dict.fromkeys(rose):
                     if unset[e]:
                         heapq.heappush(heap, (-score[e], pos[e], e))
@@ -259,26 +264,11 @@ class OrderedComplex:
                 e = heapq.heappop(heap)[2]
                 while not unset[e]:
                     e = heapq.heappop(heap)[2]
-            order.append((e, force))
+            steps.append((e, force, slot))
+            done_at.append([])
             unset[e] = False
             update(self.edge_faces[e])
-        return tuple(order)
-
-    @cached_property
-    def closing_plan(self) -> ClosingPlan:
-        """The closing order laid out per depth for the state-sum search."""
-        order, faces = self.closing_order, self.faces
-        depth = [-1] * len(self.edges)  # the forest's edges are set before any depth
-        for i, (e, _) in enumerate(order):
-            depth[e] = i
-        # every face has an edge off the forest: its three edges close a
-        # cycle or one of them is a loop, and the forest holds neither
-        done_at: list[list[int]] = [[] for _ in order]
-        for f, (e01, e02, e12) in enumerate(faces):
-            done_at[max(depth[e01], depth[e02], depth[e12])].append(f)
-        steps = tuple((e, -1, -1) if f is None else (e, f, faces[f].index(e))
-                      for e, f in order)
-        return ClosingPlan(steps, tuple(map(tuple, done_at)))
+        return ClosingPlan(tuple(steps), tuple(map(tuple, done_at)))
 
     @cached_property
     def tet_system(self) -> TetSystem:
@@ -727,68 +717,68 @@ def prism_product(
 def are_isomorphic(a: OrderedComplex, b: OrderedComplex) -> bool:
     """Structural isomorphism of Δ-complexes (slot-preserving bijections).
 
-    Backtracks over tet correspondences, propagating the induced face, edge
-    and vertex maps.  Intended for desk-scale complexes in tests.  Those
-    maps reach only simplices under a tet, so a complex with any other
-    simplex raises ValueError rather than get a wrong answer.
+    The image of a tet fixes those of its faces, edges and vertices, and,
+    across a face in two tet slots, that of the tet on the other side; so
+    one seed tet per component of ``a.walk`` decides the component.  Each
+    seed tries the unused tets of b in turn; when none fits, an explicit
+    stack backs up to the previous component, since components may share
+    vertices or edges.  The maps reach only simplices under a tet, so a
+    complex with any other simplex raises ValueError, not a wrong answer.
     """
     for c in (a, b):
         stray = _under_no_tet(c)
         if stray:
             raise ValueError(f"are_isomorphic compares only complexes whose every "
                              f"simplex lies under a tet; in {c!r} {stray}")
-    ca, cb = a.counts.as_tuple(), b.counts.as_tuple()
-    if ca != cb:
+    if a.counts != b.counts:
         return False
-    if not a.tets:  # both are empty
-        return True
-    if a.simplicial and b.simplicial and _simplicial_canonical(a) == _simplicial_canonical(b):
-        # an order-preserving vertex bijection exists; no search needed
+    bound: dict[tuple[int, int], int] = {}  # (dim, simplex of a) -> simplex of b
+    taken: set[tuple[int, int]] = set()  # (dim, simplex of b) already an image
+    log: list[tuple[int, int]] = []  # the keys of bound, in binding order
+
+    def bind(dim, x, y):  # False when x or y is bound to another
+        if (dim, x) in bound:
+            return bound[dim, x] == y
+        if (dim, y) in taken:
+            return False
+        bound[dim, x] = y
+        taken.add((dim, y))
+        log.append((dim, x))
         return True
 
-    na = len(a.tets)
-    # signature pruning: multiset of per-tet face-incidence patterns
-    def tet_sig(c, t):
-        return tuple(sorted(len(c.face_incidence[f]) for f in c.tets[t]))
-    if sorted(tet_sig(a, t) for t in range(na)) != sorted(tet_sig(b, t) for t in range(na)):
-        return False
+    def place(ta, tb):  # bind what the bound pair ta -> tb fixes; False on a clash
+        todo = [(ta, tb)]
+        for ta, tb in todo:  # grows as the propagation goes
+            for s, (fa, fb) in enumerate(zip(a.tets[ta], b.tets[tb])):
+                inc_a, inc_b = a.face_incidence[fa], b.face_incidence[fb]
+                if len(inc_a) != len(inc_b) or not bind(2, fa, fb):
+                    return False
+                if len(inc_a) == 2:  # the entry other than (ta, s) is the tet across
+                    t2, u2 = inc_a[inc_a[0] == (ta, s)][0], inc_b[inc_b[0] == (tb, s)][0]
+                    new = (3, t2) not in bound
+                    if not bind(3, t2, u2):
+                        return False
+                    if new:
+                        todo.append((t2, u2))
+                for ea, eb in zip(a.faces[fa], b.faces[fb]):  # then the edges' ends
+                    if not (bind(1, ea, eb) and all(map(bind, (0, 0), a.edges[ea], b.edges[eb]))):
+                        return False
+        return True
 
-    def extend(t_map, f_map, e_map, v_map, next_a):
-        if next_a == na:
-            return len(set(f_map.values())) == len(f_map) and \
-                len(set(e_map.values())) == len(e_map) and \
-                len(set(v_map.values())) == len(v_map)
-        for tb in range(na):
-            if tb in t_map.values() or tet_sig(a, next_a) != tet_sig(b, tb):
+    seeds, stack, tb = [component[0] for component in a.walk], [], 0  # stack: (log mark, b tet)
+    while len(stack) < len(seeds):
+        if tb == len(b.tets):  # no tet fits this component's seed: back up one
+            if not stack:
+                return False
+            mark, tb = stack.pop()
+        else:
+            mark, seed = len(log), seeds[len(stack)]
+            if bind(3, seed, tb) and place(seed, tb):
+                stack.append((mark, tb))
+                tb = 0
                 continue
-            nf, ne, nv = dict(f_map), dict(e_map), dict(v_map)
-            ok = True
-            for fa, fb in zip(a.tets[next_a], b.tets[tb]):
-                if nf.get(fa, fb) != fb:
-                    ok = False
-                    break
-                nf[fa] = fb
-                for ea, eb in zip(a.faces[fa], b.faces[fb]):
-                    if ne.get(ea, eb) != eb:
-                        ok = False
-                        break
-                    ne[ea] = eb
-                    for va, vb in zip(a.edges[ea], b.edges[eb]):
-                        if nv.get(va, vb) != vb:
-                            ok = False
-                            break
-                        nv[va] = vb
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok and extend({**t_map, next_a: tb}, nf, ne, nv, next_a + 1):
-                return True
-        return False
-
-    return extend({}, {}, {}, {}, 0)
-
-
-def _simplicial_canonical(c: OrderedComplex):
-    rank = {v: i for i, v in enumerate(c.vertices)}
-    return sorted(tuple(rank[v] for v in tl) for tl in c.tet_locals)
+        while len(log) > mark:
+            key = log.pop()
+            taken.remove((key[0], bound.pop(key)))
+        tb += 1
+    return True

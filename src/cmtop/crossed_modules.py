@@ -105,9 +105,6 @@ class CrossedModule:
     def kernel_of_boundary(self) -> frozenset[int]:
         return kernel(self.boundary)
 
-    def image_of_boundary(self) -> frozenset[int]:
-        return frozenset(self.boundary.map)
-
     @cached_property
     def has_peiffer_identity(self) -> bool:
         """No ``peiffer_violations``; computed once per instance."""
@@ -153,11 +150,6 @@ class CrossedModule:
                      for y, v in coord.items() for i, p in enumerate(powers)}
             gens.append(a)
         return KernelCoordinates(d, tuple(gens), coord, tuple(rels))
-
-    def kernel_is_central(self) -> bool:
-        ker = self.kernel_of_boundary()
-        return all(self.h.mul(k, y) == self.h.mul(y, k)
-                   for k in ker for y in range(self.h.order))
 
     def __repr__(self) -> str:
         return f"CrossedModule({self.name!r}, |H|={self.h.order}, |G|={self.g.order})"
@@ -246,12 +238,6 @@ def peiffer_violations(cm: CrossedModule) -> list[Violation]:
                       f"bnd({y}) |> {y2} = {act[bnd[y]][y2]} != {y}{y2}{y}^-1 = {h.conj(y, y2)}")
             for y in range(h.order) for y2 in range(h.order)
             if act[bnd[y]][y2] != h.conj(y, y2)]
-
-
-def act(cm: CrossedModule, x: int, y: int) -> int:
-    if not (0 <= x < cm.g.order and 0 <= y < cm.h.order):
-        raise IndexError("element index out of range")
-    return cm.act(x, y)
 
 
 def conjugation_cm(h: FiniteGroup, name: str | None = None) -> CrossedModule:

@@ -113,13 +113,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def compose(g: FiniteGroup, a: int, b: int) -> int:
-    """Product a*b in g.  Raises IndexError on out-of-range indices."""
-    if not (0 <= a < g.order and 0 <= b < g.order):
-        raise IndexError(f"element index out of range for group of order {g.order}")
-    return g.mul(a, b)
-
-
 def build_cyclic(n: int, name: str | None = None) -> FiniteGroup:
     """Z/n with addition mod n; identity is 0."""
     if n < 1:
@@ -161,7 +154,7 @@ def build_symmetric(n: int, name: str | None = None) -> FiniteGroup:
 
 
 def permutation_product(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """(p ∘ q)(x) = p(q(x)); used by tests as an independent oracle."""
+    """(p ∘ q)(x) = p(q(x)), the group law of ``build_aut_group``."""
     return tuple(p[q[x]] for x in range(len(p)))
 
 
@@ -194,17 +187,9 @@ class GroupHom:
         return self.map[a]
 
 
-def identity_hom(g: FiniteGroup) -> GroupHom:
-    return GroupHom.from_map(g, g, range(g.order))
-
-
 def kernel(f: GroupHom) -> frozenset[int]:
     """{ h in source : f(h) = identity }.  Always a subgroup."""
     return frozenset(a for a in range(f.source.order) if f.map[a] == 0)
-
-
-def hom_image(f: GroupHom) -> frozenset[int]:
-    return frozenset(f.map)
 
 
 def _generators(t: Table) -> tuple[list[int], list[tuple[int, int, int]]]:

@@ -18,7 +18,7 @@ from cmtop.complexes import (
     relabel,
     validate_manifold_basics,
 )
-from cmtop.moves import MOVE_KINDS, apply, enumerate_applicable
+from cmtop.moves import MOVE_KINDS, MoveDescriptor, apply, enumerate_applicable
 
 
 def single_tet():
@@ -281,6 +281,72 @@ def test_isomorphism_for_relabelled_singular_complex():
     assert are_isomorphic(c, other)
 
 
+def _renamed(c, seed):
+    """c with its vertex ids and its edge, face and tet indices each
+    permuted by a seeded shuffle: the same complex, relabeled throughout."""
+    rng = random.Random(seed)
+    ids = list(c.vertices)
+    rng.shuffle(ids)
+
+    def shuffled(n):
+        new = list(range(n))
+        rng.shuffle(new)
+        return new
+
+    def moved(table, new, rename):  # row i goes to new[i], its slots renamed
+        out = [None] * len(table)
+        for i, row in enumerate(table):
+            out[new[i]] = tuple(rename[x] for x in row)
+        return tuple(out)
+
+    e, f, t = shuffled(len(c.edges)), shuffled(len(c.faces)), shuffled(len(c.tets))
+    return OrderedComplex(tuple(sorted(ids)), moved(c.edges, e, dict(zip(c.vertices, ids))),
+                          moved(c.faces, f, e), moved(c.tets, t, f))
+
+
+def test_isomorphism_of_a_walk_past_1200_tets():
+    # seeded P14 walks from the solid torus: every walk of n steps has the
+    # same counts, and a Δ-complex takes no simplicial shortcut
+    def walked(seed):
+        rng, c = random.Random(seed), solid_torus()
+        for _ in range(400):
+            c = apply(c, MoveDescriptor("P14", rng.randrange(len(c.tets))))
+        return c
+
+    a, other = walked(1), walked(2)
+    b = _renamed(a, 3)
+    assert len(a.tets) == 1203 and a.counts == other.counts and not a.simplicial
+    assert a.tets != b.tets
+    assert are_isomorphic(a, b) and are_isomorphic(b, a)
+    assert not are_isomorphic(a, other) and not are_isomorphic(other, b)
+
+
+def test_isomorphism_backtracks_across_components():
+    # two tets that share only a vertex, or only an edge, so each is a
+    # component of the walk.  With the tets of b in the other order the
+    # first seed fits b's first tet on its own, and only the second
+    # component shows that it must back up and take the other one.
+    def swapped(c):
+        return OrderedComplex(c.vertices, c.edges, c.faces, c.tets[::-1])
+
+    at_vertex = from_tet_list([(0, 1, 2, 3), (3, 4, 5, 6)])  # corners 3 and 0
+    at_edge = from_tet_list([(0, 1, 2, 3), (2, 3, 4, 5)])  # slots (23) and (01)
+    for c in (at_vertex, at_edge):
+        assert len(c.walk) == 2
+        for x, y in ((c, swapped(c)), (swapped(c), c), (swapped(c), swapped(c))):
+            assert are_isomorphic(x, y)
+    # the same counts, shared at other corners: no bijection fits them
+    for c, d in ((at_vertex, from_tet_list([(0, 1, 2, 3), (0, 4, 5, 6)])),
+                 (at_edge, from_tet_list([(0, 1, 2, 3), (0, 1, 4, 5)]))):
+        assert c.counts == d.counts
+        for x, y in ((c, d), (swapped(c), d), (d, c), (d, swapped(c))):
+            assert not are_isomorphic(x, y)
+    # three components under a relabeling of every simplex
+    three = from_tet_list([(0, 1, 2, 3), (3, 4, 5, 6), (5, 6, 7, 8)])
+    assert len(three.walk) == 3
+    assert all(are_isomorphic(three, _renamed(three, seed)) for seed in range(5))
+
+
 def test_tet_edge_slots_consistency():
     for c in (single_tet(), s3_complex(), solid_torus(), pillow_interval()):
         for t in range(len(c.tets)):
@@ -362,24 +428,32 @@ def test_walk_and_forest_are_cached():
 
 def test_closing_order_sets_each_edge_off_the_forest_once():
     for c, _ in _walk_cases():
-        order = c.closing_order
-        assert c.closing_order is order
-        assert sorted([e for e, _ in order] + list(c.spanning_forest)) == list(range(len(c.edges)))
+        plan = c.closing_plan
+        assert c.closing_plan is plan
+        steps = plan.steps
+        assert sorted([e for e, _, _ in steps] + list(c.spanning_forest)) == list(range(len(c.edges)))
         done = set(c.spanning_forest)
-        for e, f in order:
-            if f is not None:
+        for e, f, slot in steps:
+            if f >= 0:
                 # e fills one slot of its forcing face; the others are set
-                assert c.faces[f].count(e) == 1
+                assert c.faces[f].count(e) == 1 and c.faces[f][slot] == e
                 assert all(x in done for x in c.faces[f] if x != e)
+            else:
+                assert slot == -1
             done.add(e)
+        # each face is done at the depth of its last edge, listed in index order
+        depth = {e: i for i, (e, _, _) in enumerate(steps)}
+        assert {f: i for i, fs in enumerate(plan.faces_done_at) for f in fs} == {
+            f: max(depth.get(e, -1) for e in slots) for f, slots in enumerate(c.faces)}
+        assert all(list(fs) == sorted(fs) for fs in plan.faces_done_at)
 
 
 def test_closing_order_branch_edges():
     branches = {"single_tet": 0, "two_tet_ball": 0, "s3_boundary_4simplex": 0,
                 "s2_interval": 0, "s2_interval_big": 0, "solid_torus": 1}
     for name, k in branches.items():
-        order = fixtures.COMPLEXES[name]().closing_order
-        assert sum(f is None for _, f in order) == k, name
+        steps = fixtures.COMPLEXES[name]().closing_plan.steps
+        assert sum(f < 0 for _, f, _ in steps) == k, name
 
 
 def test_closing_order_forces_and_branches():
@@ -387,7 +461,7 @@ def test_closing_order_forces_and_branches():
     bld = ComplexBuilder()
     bld.add_face(bld.add_edge(0, 1), bld.add_edge(0, 2), bld.add_edge(1, 2))
     c = bld.build()
-    assert c.spanning_forest == (0, 1) and c.closing_order == ((2, 0),)
+    assert c.spanning_forest == (0, 1) and c.closing_plan.steps == ((2, 0, 2),)
     # five loops at one vertex, so no forest, and faces (0,3,1), (0,3,2),
     # (0,3,4): every score is 0 and edge 0 comes first in walk order; then
     # edge 3 lies in three faces with two unset slots, the others in one
@@ -397,7 +471,7 @@ def test_closing_order_forces_and_branches():
         bld.add_face(loops[0], loops[3], loops[other])
     c = bld.build()
     assert c.spanning_forest == ()
-    assert c.closing_order == ((0, None), (3, None), (1, 0), (2, 1), (4, 2))
+    assert c.closing_plan.steps == ((0, -1, -1), (3, -1, -1), (1, 0, 2), (2, 1, 2), (4, 2, 2))
 
 
 def test_vertex_stars_list_a_simplex_once_whatever_its_repeated_corners():
