@@ -49,7 +49,6 @@ from .knot_words import (
     word_state_sum,
 )
 from .moves import (
-    INVERSE_KIND,
     MOVE_DELTAS,
     MoveDescriptor,
     MoveError,
@@ -62,7 +61,6 @@ from .statesum import (
     InvariantValue,
     brute_force_invariant,
     consistency_check_3tet,
-    delta,
     face_holonomy,
     invariant,
     is_admissible,

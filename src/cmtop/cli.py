@@ -110,20 +110,19 @@ _MOVE_ALIASES = {
     "b13": "B13", "b31": "B31", "b22": "B22",
 }
 
+# the flag that names each kind's target
+_TARGET_FLAGS = {"P14": "tet", "P23": "face", "B13": "face", "P32": "edge",
+                 "B22": "edge", "P41": "vertex", "B31": "vertex"}
+
 
 def _cmd_move(args) -> int:
-    c = _load_complex(args.complex)
     kind = _MOVE_ALIASES.get(args.move.lower(), args.move.upper())
-    targets = {k: v for k, v in (("tet", args.tet), ("face", args.face),
-                                 ("edge", args.edge), ("vertex", args.vertex))
-               if v is not None}
-    if len(targets) != 1:
-        print("exactly one of --tet/--face/--edge/--vertex must be given",
-              file=sys.stderr)
+    flag = next(k for k in ("tet", "face", "edge", "vertex") if getattr(args, k) is not None)
+    if _TARGET_FLAGS.get(kind, flag) != flag:  # an unknown kind is refused by apply
+        print(f"error: {kind} takes --{_TARGET_FLAGS[kind]}, not --{flag}", file=sys.stderr)
         return 2
-    target = next(iter(targets.values()))
-    m = moves.MoveDescriptor(kind, target, args.new_vertex)
-    out = moves.apply(c, m)
+    c = _load_complex(args.complex)
+    out = moves.apply(c, moves.MoveDescriptor(kind, getattr(args, flag), args.new_vertex))
     text = fileio.format_complex(out)
     if args.out:
         Path(args.out).write_text(text)
@@ -137,11 +136,8 @@ def _cmd_word(args) -> int:
     cm = _load_cm(args.cm)
     if args.builtin:
         w = knot_words.BUILTIN_WORDS[args.builtin]
-    elif args.word:
-        w = knot_words.GroupWord.parse(args.word)
     else:
-        print("need --word or --builtin", file=sys.stderr)
-        return 2
+        w = knot_words.GroupWord.parse(args.word)
     value = knot_words.word_state_sum(w, cm)
     if args.json:
         v = value.value
@@ -158,11 +154,8 @@ def _cmd_reps(args) -> int:
     g = _resolve(args.group, fileio.load_group, fixtures.group, fixtures.GROUPS)
     if args.builtin:
         relator = knot_words.BUILTIN_WORDS[args.builtin].without_boundary_factor()
-    elif args.relator:
-        relator = knot_words.GroupWord.parse(args.relator)
     else:
-        print("need --relator or --builtin", file=sys.stderr)
-        return 2
+        relator = knot_words.GroupWord.parse(args.relator)
     n = knot_words.count_reps(relator, g)
     if args.json:
         print(json.dumps({"relator": str(relator), "group": g.name,
@@ -220,26 +213,28 @@ def build_parser() -> argparse.ArgumentParser:
     mv.add_argument("--complex", required=True)
     mv.add_argument("--move", required=True,
                     help="one of 14, 41, 23, 32, b13, b31, b22")
-    mv.add_argument("--tet", type=int)
-    mv.add_argument("--face", type=int)
-    mv.add_argument("--edge", type=int)
-    mv.add_argument("--vertex", type=int)
+    target = mv.add_mutually_exclusive_group(required=True)
+    target.add_argument("--tet", type=int, help="the target of 14")
+    target.add_argument("--face", type=int, help="the target of 23 and b13")
+    target.add_argument("--edge", type=int, help="the target of 32 and b22")
+    target.add_argument("--vertex", type=int, help="the target of 41 and b31")
     mv.add_argument("--new-vertex", type=int, default=None)
     mv.add_argument("--out", default=None)
     mv.set_defaults(func=_cmd_move)
 
     wd = sub.add_parser("word", help="knot-complement word state sum")
     wd.add_argument("--cm", required=True)
-    wd.add_argument("--word", default=None,
-                    help="letters X x Y y D, whitespace optional")
-    wd.add_argument("--builtin", choices=sorted(knot_words.BUILTIN_WORDS))
+    word = wd.add_mutually_exclusive_group(required=True)
+    word.add_argument("--word", help="letters X x Y y D, whitespace optional")
+    word.add_argument("--builtin", choices=sorted(knot_words.BUILTIN_WORDS))
     wd.add_argument("--json", action="store_true")
     wd.set_defaults(func=_cmd_word)
 
     rp = sub.add_parser("reps", help="count relator solutions in a finite group")
     rp.add_argument("--group", required=True)
-    rp.add_argument("--relator", default=None)
-    rp.add_argument("--builtin", choices=sorted(knot_words.BUILTIN_WORDS))
+    relator = rp.add_mutually_exclusive_group(required=True)
+    relator.add_argument("--relator")
+    relator.add_argument("--builtin", choices=sorted(knot_words.BUILTIN_WORDS))
     rp.add_argument("--json", action="store_true")
     rp.set_defaults(func=_cmd_reps)
 

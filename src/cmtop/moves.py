@@ -16,13 +16,17 @@ on singular targets too.  P23, P32 and B22 build new simplices out of
 existing vertices and therefore require embedded configurations: the
 corner vertices involved must be pairwise distinct.
 
-Each kind is split in two.  Its precondition raises every MoveError the
-move can raise, each with a witness, and its assembly cannot fail once the
-precondition holds.  ``enumerate_applicable`` runs only the precondition,
-so it decides each candidate without assembling a patch, let alone
-building a complex.  ``apply`` runs the precondition, then the assembly,
-which puts the move together as a patch against its input (the simplices
-it drops and the ones it adds, each new face and tet given its slot order
+A ``MoveDescriptor`` is a plain record, checked once, by ``apply``: its
+kind, the types of its target and new vertex, then the kind's
+precondition, which reads the descriptor.  Each kind is split in two.  Its
+precondition raises every MoveError the move can raise, each with a
+witness, and its assembly cannot fail once the precondition holds.
+``enumerate_applicable`` builds each candidate's descriptor from the kind,
+a target and the fresh vertex, and runs only the precondition on it, so it
+decides each candidate without assembling a patch, let alone building a
+complex.  ``apply`` runs the precondition, then the assembly, which puts
+the move together as a patch against its input (the simplices it drops
+and the ones it adds, each new face and tet given its slot order
 directly), then builds the patch with ``complexes.splice``.  That cuts the
 dropped simplices out of the input's tables, a slice per run of
 survivors, and appends the new ones.  It renumbers the faces only when
@@ -58,12 +62,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (ComplexStructureError, OrderedComplex, face_slot_error, splice,
                         tet_slot_error)
-
-MOVE_KINDS = ("P14", "P41", "P23", "P32", "B13", "B31", "B22")
 
 MOVE_DELTAS = {
     "P14": (1, 4, 6, 3),
@@ -75,59 +77,62 @@ MOVE_DELTAS = {
     "B22": (0, 0, 0, 0),
 }
 
-INVERSE_KIND = {
-    "P14": "P41", "P41": "P14",
-    "P23": "P32", "P32": "P23",
-    "B13": "B31", "B31": "B13",
-    "B22": "B22",
-}
+MOVE_KINDS = tuple(MOVE_DELTAS)
 
 
 class MoveError(ValueError):
     """Move precondition violated; the message names the witness."""
 
 
-@dataclass(frozen=True)
-class MoveDescriptor:
+class MoveDescriptor(NamedTuple):
     """kind plus its target: a tet index for P14, face for P23/B13, edge for
     P32/B22, vertex id for P41/B31.  new_vertex is only for P14/B13, the
-    kinds that add a vertex."""
+    kinds that add a vertex.  A plain record: ``apply`` checks it."""
 
     kind: str
     target: int
     new_vertex: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
-            raise MoveError(f"unknown move kind {self.kind!r}")
-        if not isinstance(self.target, int):
-            raise MoveError(f"move target must be an int, got {self.target!r}")
-        if not isinstance(self.new_vertex, (int, type(None))):
-            raise MoveError(f"new vertex must be an int or None, got {self.new_vertex!r}")
-        if self.new_vertex is not None and self.kind not in ("P14", "B13"):
-            raise MoveError(f"{self.kind} adds no vertex, so it takes no new vertex "
-                            f"(got {self.new_vertex})")
-
 
 def apply(c: OrderedComplex, m: MoveDescriptor) -> OrderedComplex:
-    _, precondition, assembly = _MOVES[m.kind]
-    return assembly(c, precondition(c, m.target, m.new_vertex)).build()
+    """The move m on c.  This is the one place a descriptor is checked: its
+    kind, the types of its target and new vertex, then the kind's
+    precondition."""
+    _, precondition, assembly = _move(m.kind)
+    if not isinstance(m.target, int):
+        raise MoveError(f"move target must be an int, got {m.target!r}")
+    if not isinstance(m.new_vertex, (int, type(None))):
+        raise MoveError(f"new vertex must be an int or None, got {m.new_vertex!r}")
+    if m.new_vertex is not None and not _adds_vertex(m.kind):
+        raise MoveError(f"{m.kind} adds no vertex, so it takes no new vertex "
+                        f"(got {m.new_vertex})")
+    return assembly(c, precondition(c, m)).build()
 
 
 def enumerate_applicable(c: OrderedComplex, kind: str) -> list[MoveDescriptor]:
     """Every descriptor of the given kind whose precondition holds."""
-    if kind not in _MOVES:
-        raise MoveError(f"unknown move kind {kind!r}")
-    targets, precondition, _ = _MOVES[kind]
-    new_vertex = _fresh_vertex(c, None) if kind in ("P14", "B13") else None
+    targets, precondition, _ = _move(kind)
+    new_vertex = _fresh_vertex(c, None) if _adds_vertex(kind) else None
     out = []
     for x in targets(c):
+        m = MoveDescriptor(kind, x, new_vertex)
         try:
-            precondition(c, x, new_vertex)
+            precondition(c, m)
         except MoveError:
             continue
-        out.append(MoveDescriptor(kind, x, new_vertex))
+        out.append(m)
     return out
+
+
+def _move(kind: str):
+    """The kind's targets, precondition and assembly (``_MOVES``)."""
+    if kind not in MOVE_KINDS:
+        raise MoveError(f"unknown move kind {kind!r}")
+    return _MOVES[kind]
+
+
+def _adds_vertex(kind: str) -> bool:
+    return MOVE_DELTAS[kind][0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +256,22 @@ def _flip(p: _Patch, tets, new_edge, new_faces, new_tets) -> _Patch:
 # P14 / B13 and P41 / B31: coning a tet from a new vertex, and its inverse
 # ---------------------------------------------------------------------------
 
-def _check_p14(c: OrderedComplex, t: int, w: int | None):
+def _check_p14(c: OrderedComplex, m: MoveDescriptor):
+    t = m.target
     if not 0 <= t < len(c.tets):
         raise MoveError(f"no tet {t}")
-    return t, _fresh_vertex(c, w), None
+    return t, _fresh_vertex(c, m.new_vertex), None
 
 
-def _check_b13(c: OrderedComplex, f: int, w: int | None):
+def _check_b13(c: OrderedComplex, m: MoveDescriptor):
+    f = m.target
     if not 0 <= f < len(c.faces):
         raise MoveError(f"no face {f}")
     inc = c.face_incidence[f]
     if len(inc) != 1:
         raise MoveError(f"face {f} lies in {len(inc)} tet slots; B13 needs a boundary face")
     (t, slot), = inc
-    return t, _fresh_vertex(c, w), slot
+    return t, _fresh_vertex(c, m.new_vertex), slot
 
 
 def _cone(c: OrderedComplex, plan) -> _Patch:
@@ -286,7 +293,7 @@ def _cone(c: OrderedComplex, plan) -> _Patch:
     return p
 
 
-def _check_uncone(c: OrderedComplex, v: int, kind: str):
+def _check_uncone(c: OrderedComplex, m: MoveDescriptor):
     """P41 and B31: the star of vertex v must be a cone over the faces of
     one tet (four tets, interior) or of one tet less its base (three tets,
     on the boundary).  That closing tet has a corner for each edge at v (a
@@ -295,6 +302,7 @@ def _check_uncone(c: OrderedComplex, v: int, kind: str):
     spoke.  For B31 the spoke in every star tet is the apex, and the face
     opposite it is the base: a new face on the rim edges of the three
     boundary faces at v, each rim edge lying between two spokes."""
+    v, kind = m.target, m.kind
     star_tets = 4 if kind == "P41" else 3
     if v not in c.vertex_stars:
         raise MoveError(f"no vertex {v}")
@@ -368,7 +376,8 @@ def _uncone(c: OrderedComplex, plan) -> _Patch:
 # P23 / P32
 # ---------------------------------------------------------------------------
 
-def _check_p23(c: OrderedComplex, f: int, _w=None):
+def _check_p23(c: OrderedComplex, m: MoveDescriptor):
+    f = m.target
     if not 0 <= f < len(c.faces):
         raise MoveError(f"no face {f}")
     inc = c.face_incidence[f]
@@ -395,7 +404,8 @@ def _patch_p23(c: OrderedComplex, plan) -> _Patch:
                  [(x, y, d, e) for x, y in ((a, b), (a, cc), (b, cc))])
 
 
-def _check_p32(c: OrderedComplex, x: int, _w=None):
+def _check_p32(c: OrderedComplex, m: MoveDescriptor):
+    x = m.target
     around_faces, around_tets = _around_edge(c, x)
     d, e = c.edges[x]
     if len(around_faces) != 3 or len(around_tets) != 3:
@@ -448,7 +458,8 @@ def _corner_opposite(c: OrderedComplex, f: int, e: int) -> int:
     return c.face_locals[f][2 - c.faces[f].index(e)]
 
 
-def _check_b22(c: OrderedComplex, x: int, _w=None):
+def _check_b22(c: OrderedComplex, m: MoveDescriptor):
+    x = m.target
     around_faces, around_tets = _around_edge(c, x)
     if len(around_tets) != 2 or len(around_faces) != 3:
         raise MoveError(
@@ -490,15 +501,15 @@ def _patch_b22(c: OrderedComplex, plan) -> _Patch:
 
 
 # each kind's targets, the candidates enumerate_applicable tries; its
-# precondition, which raises MoveError or returns what its assembly needs;
-# and its assembly, which cannot fail
+# precondition, which reads a descriptor and raises MoveError or returns
+# what its assembly needs; and its assembly, which cannot fail
 _MOVES = {
     "P14": (lambda c: range(len(c.tets)), _check_p14, _cone),
-    "P41": (lambda c: c.vertices, lambda c, v, _w=None: _check_uncone(c, v, "P41"), _uncone),
+    "P41": (lambda c: c.vertices, _check_uncone, _uncone),
     "P23": (lambda c: [f for f in range(len(c.faces)) if not c.is_boundary_face(f)],
             _check_p23, _patch_p23),
     "P32": (lambda c: range(len(c.edges)), _check_p32, _patch_p32),
     "B13": (OrderedComplex.boundary_face_indices, _check_b13, _cone),
-    "B31": (lambda c: c.vertices, lambda c, v, _w=None: _check_uncone(c, v, "B31"), _uncone),
+    "B31": (lambda c: c.vertices, _check_uncone, _uncone),
     "B22": (lambda c: range(len(c.edges)), _check_b22, _patch_b22),
 }

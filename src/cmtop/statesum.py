@@ -70,7 +70,6 @@ from fractions import Fraction
 
 from .complexes import OrderedComplex
 from .crossed_modules import CrossedModule
-from .groups import FiniteGroup
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "CMTOP_BUDGET"
@@ -141,13 +140,6 @@ class InvariantValue:
         v = self.value
         return (f"Z = {v.numerator}/{v.denominator} "
                 f"(N={self.admissible_count}, a={self.g_exponent}, b={self.h_exponent})")
-
-
-def delta(x_group: FiniteGroup, x: int) -> int:
-    """|X| if x is the identity, else 0."""
-    if not 0 <= x < x_group.order:
-        raise IndexError("element index out of range")
-    return x_group.order if x == 0 else 0
 
 
 def face_holonomy(cm: CrossedModule, c: OrderedComplex, coloring: Coloring, face: int) -> int:

@@ -15,7 +15,7 @@ import pytest
 
 from cmtop import fixtures
 from cmtop.moves import MoveDescriptor, apply
-from cmtop.statesum import Coloring, delta, face_holonomy, tet_obstruction
+from cmtop.statesum import Coloring, face_holonomy, tet_obstruction
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +27,11 @@ def p14_ball():
         c = apply(c, MoveDescriptor("P14", rng.randrange(len(c.tets))))
     assert c.counts.as_tuple() == (304, 1206, 1804, 901)
     return c
+
+
+def delta(x_group, x) -> int:
+    """|X| if x is the identity, else 0."""
+    return x_group.order if x == 0 else 0
 
 
 def naive_statesum(cm, c) -> Fraction:

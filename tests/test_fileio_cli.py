@@ -301,9 +301,40 @@ def test_cli_move_refuses_a_new_vertex_it_cannot_use(capsys):
 
 
 def test_cli_move_needs_exactly_one_target(capsys):
-    assert main(["move", "--complex", "single_tet", "--move", "14"]) == 2
-    assert main(["move", "--complex", "single_tet", "--move", "14",
-                 "--tet", "0", "--face", "1"]) == 2
+    for targets in ([], ["--tet", "0", "--face", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["move", "--complex", "single_tet", "--move", "14", *targets])
+        assert exc.value.code == 2
+
+
+def test_cli_move_target_flag_must_name_the_kinds_target(capsys):
+    flags = {"14": "tet", "23": "face", "b13": "face", "32": "edge", "b22": "edge",
+             "41": "vertex", "b31": "vertex"}
+    for move, flag in flags.items():
+        for other in ("tet", "face", "edge", "vertex"):
+            if other != flag:
+                assert main(["move", "--complex", "single_tet", "--move", move,
+                             f"--{other}", "0"]) == 2
+                kind = move.upper() if move[0] == "b" else "P" + move
+                assert capsys.readouterr().err == f"error: {kind} takes --{flag}, not --{other}\n"
+    # an unknown kind still reaches apply, which refuses it
+    assert main(["move", "--complex", "single_tet", "--move", "99", "--vertex", "0"]) == 1
+    assert capsys.readouterr().err == "error: unknown move kind '99'\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["word", "--cm", "trivh_s3", "--builtin", "fig8", "--word", "X x"],
+     "argument --word: not allowed with argument --builtin"),
+    (["word", "--cm", "trivh_s3"], "one of the arguments --word --builtin is required"),
+    (["reps", "--group", "s3", "--builtin", "fig8", "--relator", "X x"],
+     "argument --relator: not allowed with argument --builtin"),
+    (["reps", "--group", "s3"], "one of the arguments --relator --builtin is required"),
+])
+def test_cli_word_and_reps_need_exactly_one_input(command, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_word_and_reps_agree(capsys):

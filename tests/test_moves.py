@@ -13,7 +13,6 @@ from cmtop.complexes import (
     validate_manifold_basics,
 )
 from cmtop.moves import (
-    INVERSE_KIND,
     MOVE_DELTAS,
     MOVE_KINDS,
     MoveDescriptor,
@@ -179,16 +178,28 @@ def test_move_errors_carry_witnesses():
         apply(c, MoveDescriptor("P14", 0, 2))
     with pytest.raises(MoveError, match="no tet"):
         apply(c, MoveDescriptor("P14", 7))
-    with pytest.raises(MoveError):
-        MoveDescriptor("P99", 0)
+    with pytest.raises(MoveError, match="unknown move kind 'P99'"):
+        apply(c, MoveDescriptor("P99", 0))
     with pytest.raises(MoveError, match="move target must be an int, got 0.0"):
         apply(c, MoveDescriptor("P14", 0.0))
     with pytest.raises(MoveError, match="move target must be an int, got 1.0"):
-        MoveDescriptor("P23", 1.0)
+        apply(c, MoveDescriptor("P23", 1.0))
     with pytest.raises(MoveError, match="move target must be an int, got '2'"):
-        MoveDescriptor("B22", "2")
+        apply(c, MoveDescriptor("B22", "2"))
     with pytest.raises(MoveError, match="new vertex must be an int or None, got 5.5"):
         apply(c, MoveDescriptor("P14", 0, 5.5))
+    with pytest.raises(MoveError, match="unknown move kind 'P99'"):
+        enumerate_applicable(c, "P99")
+
+
+def test_a_descriptor_is_checked_at_apply_not_at_construction():
+    c = fixtures.single_tet()
+    m = MoveDescriptor("P99", 1.0, 5.5)
+    assert (m.kind, m.target, m.new_vertex) == ("P99", 1.0, 5.5)
+    assert repr(m) == "MoveDescriptor(kind='P99', target=1.0, new_vertex=5.5)"
+    assert m == MoveDescriptor("P99", 1.0, 5.5) and len({m, MoveDescriptor("P99", 1.0, 5.5)}) == 1
+    with pytest.raises(MoveError, match="unknown move kind 'P99'"):
+        apply(c, m)
 
 
 def test_new_vertex_only_for_kinds_that_add_one():
@@ -304,16 +315,10 @@ def test_b31_undoes_b13_whatever_the_face_numbering():
             assert are_isomorphic(apply(c, MoveDescriptor("B31", 4)), torus)
 
 
-def test_inverse_kind_table():
-    assert INVERSE_KIND["P14"] == "P41"
-    assert INVERSE_KIND["B22"] == "B22"
-    assert set(INVERSE_KIND) == set(MOVE_DELTAS)
-
-
 def patch(c, m):
     """The patch that apply builds for m on c."""
     _, precondition, assembly = moves._MOVES[m.kind]
-    return assembly(c, precondition(c, m.target, m.new_vertex))
+    return assembly(c, precondition(c, m))
 
 
 def renumbered(p):

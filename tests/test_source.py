@@ -1,0 +1,50 @@
+"""Checks on the shape of the source itself."""
+
+import ast
+from pathlib import Path
+
+import cmtop
+
+SOURCES = sorted(Path(cmtop.__file__).parent.glob("*.py"))
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) for each parameter of a ``def``, other
+    than self or cls, that its body never reads.  A nested function or
+    lambda that reads it counts.  Lambdas themselves are exempt: their
+    callers fix their signature."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p.arg) for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read]
+    return out
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "moves.py", "statesum.py", "cli.py"}
+
+
+def test_no_parameter_that_does_nothing():
+    unread = [(path.name, *where) for path in SOURCES
+              for where in unread_parameters(ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def test_unread_parameters_are_found():
+    tree = ast.parse(
+        "def f(a, b, *rest, c=1, **kw):\n"
+        "    return a + (lambda: c)()\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        def inner(y):\n"
+        "            return x\n"
+        "        return inner\n"
+        "g = lambda unused: 0\n")
+    assert unread_parameters(tree) == [(1, "f", "b"), (1, "f", "rest"), (1, "f", "kw"),
+                                       (5, "inner", "y")]

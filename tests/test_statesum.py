@@ -24,22 +24,11 @@ from cmtop.statesum import (
     Coloring,
     InvariantValue,
     brute_force_invariant,
-    delta,
     face_holonomy,
     invariant,
     is_admissible,
     tet_obstruction,
 )
-
-
-def test_delta():
-    z2 = fixtures.group("z2")
-    s3 = fixtures.group("s3")
-    assert delta(z2, 0) == 2
-    assert delta(z2, 1) == 0
-    assert delta(s3, 0) == 6
-    with pytest.raises(IndexError):
-        delta(z2, 2)
 
 
 def test_face_holonomy_examples():
