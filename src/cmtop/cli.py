@@ -121,6 +121,10 @@ def _cmd_move(args) -> int:
     if _TARGET_FLAGS.get(kind, flag) != flag:  # an unknown kind is refused by apply
         print(f"error: {kind} takes --{_TARGET_FLAGS[kind]}, not --{flag}", file=sys.stderr)
         return 2
+    if (args.new_vertex is not None and kind in moves.MOVE_DELTAS
+            and moves.MOVE_DELTAS[kind][0] <= 0):  # the vertex delta: 1 for P14 and B13
+        print(f"error: {kind} adds no vertex, so it takes no --new-vertex", file=sys.stderr)
+        return 2
     c = _load_complex(args.complex)
     out = moves.apply(c, moves.MoveDescriptor(kind, getattr(args, flag), args.new_vertex))
     text = fileio.format_complex(out)

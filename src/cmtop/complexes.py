@@ -26,7 +26,6 @@ The other indices of the result are computed on first use.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -208,23 +207,16 @@ class OrderedComplex:
         unset slot, its edge comes next, forced by that face.  Otherwise the
         next edge is a branch edge: the unset edge that lies in the most
         faces with two unset slots, the first in walk order on ties.  A
-        queue of ready faces, per-face counts of unset slots and a heap of
-        branch candidates keep the build within O((E + F) log E)."""
+        queue of ready faces and per-face counts of unset slots keep the
+        build within O(E + F), plus one O(E) scan per branch edge."""
         faces, forest = self.faces, self.spanning_forest
-        pos = [0] * len(self.edges)
-        for i, e in enumerate(self.walk_edges):
-            pos[e] = i
         unset = [True] * len(self.edges)
         for e in forest:
             unset[e] = False
         # score: faces with two unset slots, per edge, counted as they reach
         # two.  A face that drops to one is ready, so its last edge is set
-        # before the next branch: at a branch every unset edge's score is
-        # exact, and so is its best heap entry once the edges whose score
-        # rose since the last branch are pushed.  In walk order with every
-        # score 0, the list is a heap already.
-        score, rose = [0] * len(self.edges), []
-        heap = [(0, pos[e], e) for e in self.walk_edges if unset[e]]
+        # before the next branch: at a branch every unset edge's score is exact.
+        score = [0] * len(self.edges)
         left = [0] * len(faces)  # unset slots, per face
         ready = deque()
         steps: list[tuple[int, int, int]] = []
@@ -241,10 +233,8 @@ class OrderedComplex:
                 elif n == 2:  # it had three: counts only fall
                     x, y = (a, b) if unset[a] and unset[b] else (a, c) if unset[a] else (b, c)
                     score[x] += 1
-                    rose.append(x)
                     if y != x:
                         score[y] += 1
-                        rose.append(y)
                 left[f] = n
 
         update(self.walk_faces)
@@ -257,13 +247,7 @@ class OrderedComplex:
                 e, slot = (a, 0) if unset[a] else (b, 1) if unset[b] else (c, 2)
             else:
                 force = slot = -1
-                for e in dict.fromkeys(rose):
-                    if unset[e]:
-                        heapq.heappush(heap, (-score[e], pos[e], e))
-                rose.clear()
-                e = heapq.heappop(heap)[2]
-                while not unset[e]:
-                    e = heapq.heappop(heap)[2]
+                e = max((e for e in self.walk_edges if unset[e]), key=score.__getitem__)
             steps.append((e, force, slot))
             done_at.append([])
             unset[e] = False

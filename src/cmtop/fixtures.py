@@ -140,7 +140,3 @@ def broken_cm() -> CrossedModule:
     action = [list(row) for row in cm.action]
     action[1][2] = 0
     return CrossedModule(cm.h, cm.g, cm.boundary, action, "broken_cm")
-
-
-def all_crossed_modules() -> list[CrossedModule]:
-    return [crossed_module(n) for n in CM_NAMES]

@@ -98,26 +98,6 @@ def count_reps(relator: GroupWord, g: FiniteGroup) -> int:
                if evaluate_word(relator, g, x, y) == 0)
 
 
-def abelian_solution_count(w: GroupWord, g: FiniteGroup) -> int:
-    """#{(x, y) : ex*x + ey*y = 0} from the letter exponent sums alone.
-
-    Only meaningful for abelian G; used to cross-check count_reps there.
-    """
-    ex, ey = w.exponent_sums()
-    n = 0
-    for x in range(g.order):
-        xe = 0
-        for _ in range(abs(ex)):
-            xe = g.mul(xe, x if ex > 0 else g.inv(x))
-        for y in range(g.order):
-            ye = 0
-            for _ in range(abs(ey)):
-                ye = g.mul(ye, y if ey > 0 else g.inv(y))
-            if g.mul(xe, ye) == 0:
-                n += 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # the boundary equation system of the figure-eight computation
 # ---------------------------------------------------------------------------

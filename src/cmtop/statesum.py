@@ -40,8 +40,10 @@ k_f, and the face colors are the solutions of one linear system over the
 abelian group A, twisted by the G-action: one equation per tet, one
 unknown per face.  It has none, or as many solutions as the homogeneous
 system has, counted by elimination mod the exponent of A (Gaussian
-elimination over F_p when A is elementary abelian).  The search is an
-explicit-stack loop, so no complex is too large for the recursion limit.
+elimination over F_p when A is elementary abelian); with A = {e} that
+count is 1 and the system is never read.  The engine is one function, an
+explicit-stack loop, so no complex is too large for the recursion limit,
+and it counts every leaf the same way, whatever ker(bnd) is.
 The engine never enumerates the full space, is bounded by a budget of
 search nodes (one per edge value tried: one per forced edge, one per
 representative at a branch edge), and must agree with the oracle exactly
@@ -262,148 +264,128 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 # fast engine: gauge-fixed edge search + linear counting on faces
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    """The search for one module and complex; past ``node_budget`` search
-    nodes, ``run`` raises SearchBudgetExceededError.
+def _search(cm: CrossedModule, c: OrderedComplex, node_budget: int) -> int:
+    """N: the gauge factor times the face counts summed over the leaves of
+    an explicit-stack search along the closing order; past ``node_budget``
+    search nodes it raises SearchBudgetExceededError.
 
     The vertex gauge acts freely on the colors of the spanning forest, so
     its edges are pinned to e at a factor |G| each and take no node.  Under
     the Peiffer identity the 2-gauge g_e -> bnd(y) g_e maps admissible
     colorings to admissible ones, so every other edge is colored by a coset
-    representative of S = im(bnd) at a factor |S| each.  It assigns those
-    edges in the complex's closing order: a forced edge takes the one
+    representative of S = im(bnd) at a factor |S| each.  The edges are set
+    in the complex's closing order: a forced edge takes the one
     representative its forcing face allows, a branch edge each in turn, and
-    each face is checked at its last edge.
-
-    What depends on one side alone is cached on that side and shared by
-    every call: the complex's ``closing_plan`` and ``tet_system``, the
-    module's ``boundary_tables`` and ``kernel_coordinates``.  The engine
-    holds only what depends on both or on the search: the gauge factor, the
-    relations copied once per tet, the edge colors, the faces' required
-    boundary images and the budget."""
-
-    def __init__(self, cm: CrossedModule, c: OrderedComplex, node_budget: int):
-        self.cm = cm
-        self.c = c
-        self.node_budget = node_budget
-        self.plan = c.closing_plan
-        self.tables = cm.boundary_tables
-        self.factor = (cm.g.order**len(c.spanning_forest)
-                       * self.tables.image_order**len(self.plan.steps))
-        if len(self.tables.kernel) > 1:
-            self.system = c.tet_system
-            self.coords = cm.kernel_coordinates
-            r = len(self.coords.generators)
-            self.relations = {i * r + l: {i * r + q: x for q, x in rel.items()}
-                              for i in range(len(self.system.rows))
-                              for l, rel in enumerate(self.coords.relations)}
-
-    def run(self) -> int:
-        """N: the gauge factor times the face counts summed over the leaves
-        of an explicit-stack search along the closing order."""
-        (steps, done_at), tables = self.plan, self.tables
-        pre, rep, reps = tables.preimage, tables.coset_rep, tables.coset_reps
-        mul, inv, faces = self.cm.g.table, self.cm.g.inverses, self.c.faces
-        # with A = ker(bnd) = {e} every w_t(b) is e: each leaf counts once
-        solve = len(tables.kernel) > 1
-        ga = self.g_assign = [0] * len(self.c.edges)
-        req = self.req = [-1] * len(faces)
-        tried = [0] * len(steps)  # values tried so far at each depth
-        total, depth, deepest, nodes, budget = 0, 0, 0, 0, self.node_budget
-        while depth >= 0:
-            if depth == len(steps):
-                total += self._solve() if solve else 1
-                depth -= 1
-                continue
-            e, force, slot = steps[depth]
-            i = tried[depth]
-            if i == (len(reps) if slot < 0 else 1):
-                tried[depth] = 0
-                depth -= 1
-                continue
-            tried[depth] = i + 1
-            nodes += 1
-            if nodes > budget:
-                raise self._over_budget(deepest)
-            # S = im(bnd) is normal, so a forced edge's coset is one product
-            if slot < 0:
-                ga[e] = reps[i]
-            else:
-                e01, e02, e12 = faces[force]
-                if slot == 0:  # e01 <- g12^-1 g02
-                    ga[e] = rep[mul[inv[ga[e12]]][ga[e02]]]
-                elif slot == 1:  # e02 <- g12 g01
-                    ga[e] = rep[mul[ga[e12]][ga[e01]]]
-                else:  # e12 <- g02 g01^-1
-                    ga[e] = rep[mul[ga[e02]][inv[ga[e01]]]]
-            for f in done_at[depth]:
-                e01, e02, e12 = faces[f]
-                r = mul[mul[ga[e02]][inv[ga[e01]]]][inv[ga[e12]]]
-                if pre[r] < 0:
-                    break
-                req[f] = r
-            else:
-                depth += 1
-                if depth > deepest:
-                    deepest = depth
-        return total * self.factor
-
-    def _over_budget(self, deepest: int) -> SearchBudgetExceededError:
-        steps = self.plan.steps
-        n, branch = len(steps), sum(slot < 0 for _, _, slot in steps)
-        return SearchBudgetExceededError(
-            f"fast engine spent its budget of {self.node_budget} search nodes; "
-            f"deepest depth {deepest} of {n} edges in the closing order "
-            f"({branch} branch, {n - branch} forced)")
-
-    # ----- face colors, given all edge colors -----
-
-    def _solve(self) -> int:
-        """Face colorings of one leaf, without search.
-
-        With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
-        obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
-        equation per tet, one unknown per face.  A is written as Z^r modulo
-        the module's relation lattice (``kernel_coordinates``), with entries
-        mod its exponent; the complex's ``tet_system`` gives the rows (the
-        tets in reverse walk order, so ``_reduce``, which pivots on the
-        largest key, starts each face's column at the tet where the walk
-        first met the face) and the columns.  Face f's column for a_l sums
-        g23 |> a_l over its slot-0 places, +a_l over slot 2 and -a_l over
-        slots 1 and 3.  With the relations of the T copies of A the columns
-        span a lattice L in Z^(rT), and the homogeneous map A^F -> A^T has an
-        image of order |A|^T / [Z^(rT) : L].  So there are no solutions or
-        |A|^F / |image|, some exactly when the constants coord(w_t(b)) lie
-        in L, as they do once the image is all of A^T; then no column can
-        change the count either.  A face in no tet has an empty column, so
-        its factor is |A|.
-        """
-        h, act, pre, req = self.cm.h, self.cm.action, self.tables.preimage, self.req
-        mh, ih, tets = h.table, h.inverses, self.c.tets
-        d, gens, coord = self.coords.exponent, self.coords.generators, self.coords.coord
-        rows, row_e23, columns = self.system
-        r, order = len(gens), len(self.tables.kernel)
-        g23 = [self.g_assign[e] for e in row_e23]
-        basis, image, onto = dict(self.relations), 1, order**len(rows)
-        for places in columns:
-            if image == onto:
+    each face is checked at its last edge.  Only the gauge factor, the
+    relations copied once per tet, the edge colors and the faces' required
+    boundary images depend on both the module and the complex; the rest is
+    cached on one side."""
+    (steps, done_at), tables, coords = c.closing_plan, cm.boundary_tables, cm.kernel_coordinates
+    pre, rep, reps = tables.preimage, tables.coset_rep, tables.coset_reps
+    mul, inv, faces = cm.g.table, cm.g.inverses, c.faces
+    rank = len(coords.generators)
+    relations = {i * rank + l: {i * rank + q: x for q, x in rel.items()}
+                 for l, rel in enumerate(coords.relations) for i in range(len(c.tets))}
+    ga = [0] * len(c.edges)
+    req = [-1] * len(faces)
+    tried = [0] * len(steps)  # values tried so far at each depth
+    total, depth, deepest, nodes = 0, 0, 0, 0
+    while depth >= 0:
+        if depth == len(steps):
+            total += _solve(cm, c, relations, ga, req)
+            depth -= 1
+            continue
+        e, force, slot = steps[depth]
+        i = tried[depth]
+        if i == (len(reps) if slot < 0 else 1):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = i + 1
+        nodes += 1
+        if nodes > node_budget:
+            n, branch = len(steps), sum(slot < 0 for _, _, slot in steps)
+            raise SearchBudgetExceededError(
+                f"fast engine spent its budget of {node_budget} search nodes; "
+                f"deepest depth {deepest} of {n} edges in the closing order "
+                f"({branch} branch, {n - branch} forced)")
+        # S = im(bnd) is normal, so a forced edge's coset is one product
+        if slot < 0:
+            ga[e] = reps[i]
+        else:
+            e01, e02, e12 = faces[force]
+            if slot == 0:  # e01 <- g12^-1 g02
+                ga[e] = rep[mul[inv[ga[e12]]][ga[e02]]]
+            elif slot == 1:  # e02 <- g12 g01
+                ga[e] = rep[mul[ga[e12]][ga[e01]]]
+            else:  # e12 <- g02 g01^-1
+                ga[e] = rep[mul[ga[e02]][inv[ga[e01]]]]
+        for f in done_at[depth]:
+            e01, e02, e12 = faces[f]
+            r = mul[mul[ga[e02]][inv[ga[e01]]]][inv[ga[e12]]]
+            if pre[r] < 0:
                 break
-            for a in gens:
-                col = {}
-                for i, slot0, sign in places:
-                    for q, x in enumerate(coord[act[g23[i]][a] if slot0 else a]):
-                        if x:
-                            col[i * r + q] = (col.get(i * r + q, 0) + sign * x) % d
-                image *= _reduce(basis, {k: x for k, x in col.items() if x}, d)
-        if image < onto:
-            constants = {}
-            for i, t in enumerate(rows):
-                b012, b013, b023, b123 = (pre[req[f]] for f in tets[t])
-                w = coord[mh[mh[b023][act[g23[i]][b012]]][mh[ih[b123]][ih[b013]]]]
-                constants.update((i * r + q, x) for q, x in enumerate(w) if x)
-            if _reduce(basis, constants, d) > 1:  # basis is this leaf's copy
-                return 0
-        return order**len(self.c.faces) // image
+            req[f] = r
+        else:
+            depth += 1
+            if depth > deepest:
+                deepest = depth
+    return total * cm.g.order**len(c.spanning_forest) * tables.image_order**len(steps)
+
+
+def _solve(cm: CrossedModule, c: OrderedComplex, relations: dict,
+           g_assign: list[int], req: list[int]) -> int:
+    """Face colorings of one leaf, given its edge colors ``g_assign`` and
+    the faces' required boundary images ``req``, without search.
+
+    With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
+    obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
+    equation per tet, one unknown per face.  A is written as Z^r modulo
+    the module's relation lattice (``kernel_coordinates``, copied once per
+    tet in ``relations``), with entries mod its exponent; the complex's
+    ``tet_system`` gives the rows (the tets in reverse walk order, so
+    ``_reduce``, which pivots on the largest key, starts each face's column
+    at the tet where the walk first met the face) and the columns.  Face
+    f's column for a_l sums g23 |> a_l over its slot-0 places, +a_l over
+    slot 2 and -a_l over slots 1 and 3.  With the relations of the T copies
+    of A the columns span a lattice L in Z^(rT), and the homogeneous map
+    A^F -> A^T has an image of order |A|^T / [Z^(rT) : L].  So there are no
+    solutions or |A|^F / |image|, some exactly when the constants
+    coord(w_t(b)) lie in L, as they do once the image is all of A^T; then
+    no column can change the count either.  That is so from the start when
+    A = {e} or there is no tet, and then the system is never read.  A face
+    in no tet has an empty column, so its factor is |A|.
+    """
+    order = len(cm.boundary_tables.kernel)
+    image, onto = 1, order**len(c.tets)
+    if image == onto:
+        return order**len(c.faces)
+    h, act, pre = cm.h, cm.action, cm.boundary_tables.preimage
+    mh, ih, tets = h.table, h.inverses, c.tets
+    d, gens, coord, _ = cm.kernel_coordinates
+    rows, row_e23, columns = c.tet_system
+    r = len(gens)
+    g23 = [g_assign[e] for e in row_e23]
+    basis = dict(relations)
+    for places in columns:
+        if image == onto:
+            break
+        for a in gens:
+            col = {}
+            for i, slot0, sign in places:
+                for q, x in enumerate(coord[act[g23[i]][a] if slot0 else a]):
+                    if x:
+                        col[i * r + q] = (col.get(i * r + q, 0) + sign * x) % d
+            image *= _reduce(basis, {k: x for k, x in col.items() if x}, d)
+    if image < onto:
+        constants = {}
+        for i, t in enumerate(rows):
+            b012, b013, b023, b123 = (pre[req[f]] for f in tets[t])
+            w = coord[mh[mh[b023][act[g23[i]][b012]]][mh[ih[b123]][ih[b013]]]]
+            constants.update((i * r + q, x) for q, x in enumerate(w) if x)
+        if _reduce(basis, constants, d) > 1:  # basis is this leaf's copy
+            return 0
+    return order**len(c.faces) // image
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -469,7 +451,7 @@ def invariant(cm: CrossedModule, c: OrderedComplex, *,
     node_budget = _budget(node_budget)
     if not cm.has_peiffer_identity:
         return brute_force_invariant(cm, c, node_budget)
-    return _result(_Engine(cm, c, node_budget).run(), cm, c)
+    return _result(_search(cm, c, node_budget), cm, c)
 
 
 # ---------------------------------------------------------------------------

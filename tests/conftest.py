@@ -1,5 +1,5 @@
-"""Shared test helpers: the literal per-coloring reference sum, and a
-large ball triangulation.
+"""Shared test helpers: the literal per-coloring reference sum, a large
+ball triangulation, and the abelian count of a relator's solutions.
 
 ``naive_statesum`` evaluates the state sum exactly as written: every
 edge/face coloring in turn, multiplying delta weights.  It is deliberately
@@ -58,3 +58,23 @@ def naive_statesum(cm, c) -> Fraction:
                  * Fraction(h.order) ** (k.k0 - k.k1 + k.k2 - k.k3))
     per_simplex = Fraction(1, g.order) ** E * Fraction(1, h.order) ** F
     return prefactor * per_simplex * total
+
+
+def abelian_solution_count(w, g) -> int:
+    """#{(x, y) : ex*x + ey*y = 0} from the letter exponent sums alone.
+
+    Only meaningful for abelian G; the tests cross-check count_reps with it.
+    """
+    ex, ey = w.exponent_sums()
+    n = 0
+    for x in range(g.order):
+        xe = 0
+        for _ in range(abs(ex)):
+            xe = g.mul(xe, x if ex > 0 else g.inv(x))
+        for y in range(g.order):
+            ye = 0
+            for _ in range(abs(ey)):
+                ye = g.mul(ye, y if ey > 0 else g.inv(y))
+            if g.mul(xe, ye) == 0:
+                n += 1
+    return n

@@ -474,6 +474,35 @@ def test_closing_order_forces_and_branches():
     assert c.closing_plan.steps == ((0, -1, -1), (3, -1, -1), (1, 0, 2), (2, 1, 2), (4, 2, 2))
 
 
+def _branch_rule_holds(c):
+    """Replay the closing plan and recount each branch step from scratch:
+    no face has one unset slot, and the edge is the unset edge in the most
+    faces with exactly two unset slots, the first in walk order on ties.
+    Return the number of branch steps."""
+    unset = set(range(len(c.edges))) - set(c.spanning_forest)
+    branches = 0
+    for e, f, _ in c.closing_plan.steps:
+        if f < 0:
+            left = [sum(x in unset for x in slots) for slots in c.faces]
+            assert 1 not in left
+            score = {x: sum(left[g] == 2 for g in c.edge_faces[x]) for x in unset}
+            best = max(score.values())
+            assert e == next(x for x in c.walk_edges if x in unset and score[x] == best)
+            branches += 1
+        unset.remove(e)
+    return branches
+
+
+def test_closing_order_branch_rule_from_scratch():
+    torus = fixtures.solid_torus()
+    c = torus
+    for k in range(2, 6):
+        c = disjoint_union(c, torus)
+        assert _branch_rule_holds(c) == k
+    walked = [w for seed in range(3) for w in _seeded_walk(torus, seed, steps=200)]
+    assert sum(map(_branch_rule_holds, walked)) > 0
+
+
 def test_vertex_stars_list_a_simplex_once_whatever_its_repeated_corners():
     # solid_torus has loops, faces and tets with a corner twice: each is
     # listed once in that vertex's star, as a set of corners would give

@@ -296,7 +296,7 @@ def test_cli_move_keeps_an_isolated_vertex(tmp_path, capsys):
 
 def test_cli_move_refuses_a_new_vertex_it_cannot_use(capsys):
     assert main(["move", "--complex", "two_tet_ball", "--move", "23", "--face", "3",
-                 "--new-vertex", "99"]) == 1
+                 "--new-vertex", "99"]) == 2
     assert capsys.readouterr().err.startswith("error: P23 adds no vertex")
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import abelian_solution_count
 
 from cmtop import fixtures
 from cmtop.crossed_modules import trivial_h_cm
@@ -11,7 +12,6 @@ from cmtop.knot_words import (
     K52,
     T52,
     GroupWord,
-    abelian_solution_count,
     count_reps,
     evaluate_word,
     verify_41_system,

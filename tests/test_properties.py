@@ -1,12 +1,13 @@
 """Property tests over randomized inputs (hypothesis)."""
 
+from conftest import abelian_solution_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtop import fixtures
 from cmtop.complexes import boundary, relabel
 from cmtop.groups import build_cyclic, build_direct_product
-from cmtop.knot_words import GroupWord, abelian_solution_count, count_reps
+from cmtop.knot_words import GroupWord, count_reps
 from cmtop.statesum import invariant
 
 

@@ -26,6 +26,21 @@ def unread_parameters(tree):
     return out
 
 
+def unread_imports(tree):
+    """(line, name) for each name that a module-level import binds, other
+    than from ``__future__``, and that the module never reads."""
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name.split(".")[0] for a in node.names]
+            out += [(node.lineno, name) for name in names if name not in read]
+    return out
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "moves.py", "statesum.py", "cli.py"}
 
@@ -48,3 +63,23 @@ def test_unread_parameters_are_found():
         "g = lambda unused: 0\n")
     assert unread_parameters(tree) == [(1, "f", "b"), (1, "f", "rest"), (1, "f", "kw"),
                                        (5, "inner", "y")]
+
+
+def test_no_import_that_is_never_read():
+    # __init__.py imports to re-export
+    unread = [(path.name, *where) for path in SOURCES if path.name != "__init__.py"
+              for where in unread_imports(ast.parse(path.read_text(), str(path)))]
+    assert unread == []
+
+
+def test_unread_imports_are_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import heapq\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import gcd, prod\n"
+        "def f(x):\n"
+        "    import json\n"
+        "    return os.path.join(x) + prod(x)\n")
+    assert unread_imports(tree) == [(2, "heapq"), (4, "np"), (5, "gcd")]

@@ -110,7 +110,7 @@ def test_singular_fixtures_against_naive_reference():
 def test_single_tet_paper_value_all_cms():
     # Z(D^3) = |H|/|G|
     c = fixtures.single_tet()
-    for cm in fixtures.all_crossed_modules():
+    for cm in [fixtures.crossed_module(n) for n in fixtures.CM_NAMES]:
         want = Fraction(cm.h.order, cm.g.order)
         assert invariant(cm, c).value == want
         assert brute_force_invariant(cm, c).value == want
@@ -285,6 +285,17 @@ def test_set_up_is_cached_on_the_complex_and_on_the_module():
         assert mutant.boundary_tables is not tables
     assert mutants[-1].boundary_tables != tables
     assert cm.boundary_tables is tables
+
+
+def test_a_trivial_kernel_builds_no_tet_system():
+    # with ker(bnd) = {e} every leaf counts 1 before the system is read;
+    # the fixture is cached, so its relabeling is the fresh complex
+    big = fixtures.s2_interval_big()
+    c = relabel(big, {v: v + 10 for v in big.vertices})
+    assert invariant(fixtures.crossed_module("id_z2"), c).value == 1
+    assert "tet_system" not in vars(c)
+    invariant(fixtures.crossed_module("z4_to_z2"), c)
+    assert "tet_system" in vars(c)
 
 
 def test_peiffer_identity_is_checked_once_per_module(monkeypatch):
@@ -652,7 +663,7 @@ def test_every_face_counting_path_matches_the_oracle():
     extra = [_z8_to_z2(), _z4_negated_over_z2(), _z4_z2_negation(), _s3_sign(),
              *order_2, *image_above_2]
     checked, pinned = [], []
-    for cm in extra + fixtures.all_crossed_modules():
+    for cm in extra + [fixtures.crossed_module(n) for n in fixtures.CM_NAMES]:
         for name, c in complexes.items():
             if cm not in extra and name in fixtures.COMPLEXES:
                 continue  # acceptance criterion 6 compares these
@@ -683,7 +694,7 @@ def test_noncentral_kernel_paths():
         return all(cm.h.mul(k, y) == cm.h.mul(y, k)
                    for k in cm.kernel_of_boundary() for y in range(cm.h.order))
 
-    assert all(kernel_is_central(cm) for cm in fixtures.all_crossed_modules())
+    assert all(kernel_is_central(fixtures.crossed_module(n)) for n in fixtures.CM_NAMES)
     # s3_sign: the kernel A_3 is not central and the boundary is surjective
     cm = _s3_sign()
     assert peiffer_violations(cm)  # non-Peiffer
