@@ -21,7 +21,12 @@ rational arithmetic; both engines return that factored form.
 Two engines compute N.  ``brute_force_invariant`` is the oracle: it reads
 the state sum as a network of 0/1 factors, one per face and one per tet,
 and sums it exactly by variable elimination with numpy, lazily imported
-there and nowhere else; the size of its largest table is budget-gated.
+there and nowhere else.  A call builds one face table and one tet table,
+which every factor reads through its own slots, a repeated variable being
+a diagonal that einsum takes.  The elimination order is fixed before any
+table is built and kept current step by step: summing out a variable
+updates only the variables of the factor that step merges.  The size of
+the largest table is budget-gated.
 ``invariant`` is the engine for crossed modules, that is, modules with the
 Peiffer identity; it hands any other module to the oracle.  It fixes the
 gauge first: the edges of a spanning forest are pinned to e (the vertex
@@ -185,18 +190,21 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 
     N sums, over every coloring, a product of 0/1 factors: one per face over
     (e01, e02, e12, h_f), 1 when its holonomy is e, and one per tet over
-    (h012, h013, h023, h123, e23), 1 when its obstruction is e.  The
-    variables are summed out one at a time with ``numpy.einsum``, each time
-    the one whose merged factor is smallest, in an order fixed before any
-    table is built.  A variable filling several slots of one factor is a
-    diagonal of that factor's table, and one in no factor multiplies N by
-    its group's order.  Every table entry counts assignments of variables
-    already summed out, so int64 is exact while the coloring space
-    |G|^|K1| * |H|^|K2| is below 2^63; a larger space raises
-    BudgetExceededError, and so does an order whose largest table has more
-    entries than the budget.  The oracle shares only the complex and the
-    group tables with the fast engine, and is the only code in the package
-    that imports numpy.
+    (h012, h013, h023, h123, e23), 1 when its obstruction is e.  Each call
+    builds one face table and one tet table over those slots, and every
+    factor reads its kind's table with its slots as einsum subscripts: a
+    variable filling several slots of one factor is a diagonal, which
+    ``numpy.einsum`` takes.  The variables are summed out one at a time,
+    each time the one whose merged factor is smallest, in an order fixed
+    before any table is built.  Summing out v merges the factors holding it
+    into one over the other variables they hold, so only those variables
+    are updated; a variable in no factor multiplies N by its group's order.
+    Every table entry counts assignments of variables already summed out,
+    so int64 is exact while the coloring space |G|^|K1| * |H|^|K2| is below
+    2^63; a larger space raises BudgetExceededError, and so does a largest
+    table (the face and tet tables included) with more entries than the
+    budget.  The oracle shares only the complex and the group tables with
+    the fast engine, and is the only code in the package that imports numpy.
     """
     import numpy as np
 
@@ -215,22 +223,35 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     used = {v for s in scopes for v in s}
 
     def entries(scope):
-        return math.prod(sizes[v] for v in scope)
+        return math.prod(map(sizes.__getitem__, scope))
 
-    # the order, symbolically: each step merges the factors holding one
-    # variable into a table over the other variables they hold
-    steps, live = [], set(range(len(scopes)))
-    while merged := {v: set() for i in live for v in scopes[i]}:
-        for i in live:
-            for v in scopes[i]:
-                merged[v].update(scopes[i])
-        v = min(merged, key=lambda v: (entries(merged[v]), len(merged[v]), v))
-        held = [i for i in live if v in scopes[i]]
-        live.difference_update(held)
-        live.add(len(scopes))
-        scopes.append(tuple(sorted(merged[v] - {v})))
-        steps.append((held, sorted(merged[v])))
-    largest = max(map(entries, scopes), default=1)
+    # the order, symbolically: each step merges the live factors holding one
+    # variable into a table over the other variables they hold.  Only the
+    # variables of that table change their merged scope or their holders.
+    holders, merged = {}, {}
+    for i, s in enumerate(scopes):
+        for v in s:
+            holders.setdefault(v, []).append(i)
+            merged.setdefault(v, set()).update(s)
+    key = {v: (entries(m), len(m), v) for v, m in merged.items()}
+    steps = []
+    while key:
+        v = min(key.values())[2]
+        del key[v]
+        held, union = holders.pop(v), merged.pop(v)
+        scope = tuple(sorted(union - {v}))
+        for u in scope:
+            holders[u] = [i for i in holders[u] if i not in held] + [len(scopes)]
+            m = merged[u]
+            m |= union
+            m.discard(v)
+            key[u] = (entries(m), len(m), u)
+        scopes.append(scope)
+        steps.append((held, sorted(union)))
+    # the two tables the factors are read from: one per face, one per tet
+    face_entries = g.order**3 * h.order if F else 0
+    tet_entries = h.order**4 * g.order if c.tets else 0
+    largest = max(face_entries, tet_entries, *map(entries, scopes), 1)
     if largest > budget:
         raise BudgetExceededError(
             f"the contraction's largest table has {largest} entries, over the "
@@ -240,21 +261,23 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     gt, ginv, ht, hinv, act, bnd = (
         np.asarray(x) for x in (g.table, g.inverses, h.table, h.inverses,
                                 cm.action, cm.boundary.map))
-    tables = {}
-    for i, s in enumerate(slots):
-        axes = np.ix_(*(np.arange(sizes[v]) for v in scopes[i]))
-        x = [axes[scopes[i].index(v)] for v in s]  # a repeated variable: a diagonal
-        if i < F:  # bnd(h_f) = g02 g01^-1 g12^-1
-            table = gt[gt[x[1], ginv[x[0]]], ginv[x[2]]] == bnd[x[3]]
-        else:  # h023 (g23 |> h012) h123^-1 h013^-1 = e
-            table = ht[ht[x[2], act[x[4], x[0]]], ht[hinv[x[3]], hinv[x[1]]]] == 0
-        tables[i] = table.astype(np.int64)
+    gs, hs, tables = np.arange(g.order), np.arange(h.order), {}
+    if F:  # over (g01, g02, g12, h_f): bnd(h_f) = g02 g01^-1 g12^-1
+        x = np.ix_(gs, gs, gs, hs)
+        face = gt[gt[x[1], ginv[x[0]]], ginv[x[2]]] == bnd[x[3]]
+        tables.update(dict.fromkeys(range(F), face.astype(np.int64)))
+    if c.tets:  # over (h012, h013, h023, h123, g23): h023 (g23 |> h012) h123^-1 h013^-1 = e
+        x = np.ix_(hs, hs, hs, hs, gs)
+        tet = ht[ht[x[2], act[x[4], x[0]]], ht[hinv[x[3]], hinv[x[1]]]] == 0
+        tables.update(dict.fromkeys(range(F, len(slots)), tet.astype(np.int64)))
+    # a factor's subscripts are its slots: a repeated variable is a diagonal
+    subscripts = slots + scopes[len(slots):]
     for k, (held, union) in enumerate(steps, start=len(slots)):
         label = {v: j for j, v in enumerate(union)}
         operands = []
         for i in held:
-            operands += [tables.pop(i), [label[v] for v in scopes[i]]]
-        tables[k] = np.einsum(*operands, [label[v] for v in scopes[k]])
+            operands += [tables.pop(i), [label[v] for v in subscripts[i]]]
+        tables[k] = np.einsum(*operands, [label[v] for v in subscripts[k]])
     n = math.prod(int(t) for t in tables.values())
     n *= math.prod(sizes[v] for v in range(len(sizes)) if v not in used)
     return _result(n, cm, c)

@@ -457,3 +457,12 @@ assert "numpy" not in sys.modules, "numpy was imported"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = Path(cmtop.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "cmtop", "invariant", "--complex", "single_tet",
+                           "--cm", "id_z2", "--json"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["admissible_count"] == 64

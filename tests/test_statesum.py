@@ -16,7 +16,7 @@ from cmtop.complexes import (
 )
 from cmtop.crossed_modules import identity_cm, make_crossed_module, peiffer_violations, reduction_cm
 from cmtop.groups import FiniteGroup, build_cyclic, build_symmetric, build_trivial
-from cmtop.moves import MoveDescriptor, apply
+from cmtop.moves import MOVE_KINDS, MoveDescriptor, apply, enumerate_applicable
 from cmtop.selftest import _cm_mutations
 from cmtop.statesum import (
     BudgetExceededError,
@@ -94,14 +94,17 @@ def test_single_tet_against_naive_reference():
 
 
 def test_singular_fixtures_against_naive_reference():
-    # pins the slot conventions on identified faces, loops, parallel edges
+    # pins the slot conventions on identified faces, loops, parallel edges;
+    # every factor of _fgfg repeats a variable, so the oracle reads only
+    # diagonals of its face and tet tables
     cases = [
-        (fixtures.solid_torus(), "trivh_z2"),
-        (fixtures.solid_torus(), "id_z2"),
-        (fixtures.s2_interval(), "trivh_z2"),
+        (fixtures.solid_torus(), fixtures.crossed_module("trivh_z2")),
+        (fixtures.solid_torus(), fixtures.crossed_module("id_z2")),
+        (fixtures.s2_interval(), fixtures.crossed_module("trivh_z2")),
     ]
-    for c, name in cases:
-        cm = fixtures.crossed_module(name)
+    cases += [(_fgfg(), cm) for cm in [*map(fixtures.crossed_module, fixtures.CM_NAMES),
+                                        _s3_sign()]]
+    for c, cm in cases:
         expected = naive_statesum(cm, c)
         assert brute_force_invariant(cm, c).value == expected
         assert invariant(cm, c).value == expected
@@ -398,6 +401,44 @@ def test_budget_gate_names_the_largest_table():
         brute_force_invariant(cm, fixtures.s3_boundary_4simplex(), budget=10**6)
     assert "largest table" in str(err.value)
     assert "78364164096 entries, over the budget of 1000000" in str(err.value)
+
+
+# the oracle's largest table under each module of fixtures.CM_NAMES, in
+# that order, or None where the coloring space is 2^63 or more
+_LARGEST_TABLE = {
+    "single_tet": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 1024],
+    "s3_boundary_4simplex": [16384, 4782969, 78364164096, 4586471424, 419904, 128, 2187,
+                             279936, 4194304],
+    "solid_torus": [256, 6561, 1679616, 497664, 1296, 32, 243, 7776, 4096],
+    "s2_interval": [256, 6561, None, 331776, 1944, 16, 81, 1296, 8192],
+    "s2_interval_big": [262144, None, None, None, None, 256, 6561, 1679616, None],
+    "two_tet_ball": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 1024],
+    "walk": [None, None, None, None, None, 256, 6561, None, None],
+}
+
+
+def test_oracle_plan_is_pinned():
+    # budget 0 refuses every call once the order is planned, and the
+    # message names the largest table the order would build
+    rng = random.Random(1)
+    walk, moves = fixtures.solid_torus(), 0
+    while moves < 20:
+        found = enumerate_applicable(walk, rng.choice(MOVE_KINDS))
+        if found:
+            walk, moves = apply(walk, rng.choice(found)), moves + 1
+    complexes = {**{name: fixtures.COMPLEXES[name]() for name in _LARGEST_TABLE if name != "walk"},
+                 "walk": walk}
+    for name, c in complexes.items():
+        for cm_name, largest in zip(fixtures.CM_NAMES, _LARGEST_TABLE[name]):
+            with pytest.raises(BudgetExceededError) as err:
+                brute_force_invariant(fixtures.crossed_module(cm_name), c, budget=0)
+            if largest is None:
+                assert "colorings: the oracle's int64 counts are exact only below 2^63" \
+                    in str(err.value), (name, cm_name)
+            else:
+                assert str(err.value).startswith(
+                    f"the contraction's largest table has {largest} entries, over the "
+                    f"budget of 0;"), (name, cm_name)
 
 
 def test_invariant_is_bounded_by_default(monkeypatch):
