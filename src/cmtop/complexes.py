@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -462,12 +463,14 @@ class ComplexBuilder:
 
 def from_tet_list(tets: Iterable[Sequence[int]]) -> OrderedComplex:
     """Simplicial-mode constructor: tets as 4-tuples of distinct vertex ids,
-    each a nonnegative int.
+    each a nonnegative int, in any order.
 
-    Edges and faces are deduplicated as vertex subsets; a face shared by
-    more than two tets is an error, as is a repeated vertex in a tet.
+    Each tet is sorted; edges and faces are its vertex subsets, numbered in
+    sorted order, with the tets sorted too.  A face shared by more than two
+    tets is an error, as is a repeated vertex in a tet.  The tables satisfy
+    the slot rules by construction, so none is checked.
     """
-    tet_tuples = []
+    corners = []
     for raw in tets:
         raw = tuple(raw)
         for v in raw:
@@ -475,39 +478,27 @@ def from_tet_list(tets: Iterable[Sequence[int]]) -> OrderedComplex:
         vs = tuple(sorted(raw))
         if len(vs) != 4 or len(set(vs)) != 4:
             raise ValueError(f"tet {raw} must have 4 distinct vertices")
-        tet_tuples.append(vs)
-    if len(set(tet_tuples)) != len(tet_tuples):
+        corners.append(vs)
+    if len(set(corners)) != len(corners):
         raise ValueError("duplicate tet in input")
-    tet_tuples.sort()
-
-    edge_set: set[tuple[int, int]] = set()
-    face_set: set[tuple[int, int, int]] = set()
-    for a, b, c, d in tet_tuples:
-        vs = (a, b, c, d)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                edge_set.add((vs[i], vs[j]))
-        for skip in range(4):
-            face_set.add(tuple(v for k, v in enumerate(vs) if k != skip))
-
-    builder = ComplexBuilder()
-    edge_idx: dict[tuple[int, int], int] = {}
-    for pair in sorted(edge_set):
-        edge_idx[pair] = builder.add_edge(*pair)
-    face_idx: dict[tuple[int, int, int], int] = {}
-    for a, b, c in sorted(face_set):
-        face_idx[(a, b, c)] = builder.add_face(
-            edge_idx[(a, b)], edge_idx[(a, c)], edge_idx[(b, c)])
-
-    face_use: dict[tuple[int, int, int], int] = {f: 0 for f in face_set}
-    for a, b, c, d in tet_tuples:
-        for tri in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
-            face_use[tri] += 1
-            if face_use[tri] > 2:
+    corners.sort()
+    edges = sorted({e for vs in corners for e in combinations(vs, 2)})
+    faces = sorted({f for vs in corners for f in combinations(vs, 3)})
+    edge_at = {e: i for i, e in enumerate(edges)}
+    face_at = {f: i for i, f in enumerate(faces)}
+    uses = dict.fromkeys(faces, 0)
+    tet_slots = []
+    for vs in corners:
+        slots = tuple(combinations(vs, 3))  # (012), (013), (023), (123)
+        for tri in slots:
+            uses[tri] += 1
+            if uses[tri] > 2:
                 raise ValueError(f"face {tri} shared by more than two tets")
-        builder.add_tet(face_idx[(a, b, c)], face_idx[(a, b, d)],
-                        face_idx[(a, c, d)], face_idx[(b, c, d)])
-    return builder.build()
+        tet_slots.append(tuple(face_at[tri] for tri in slots))
+    return OrderedComplex(
+        tuple(sorted({v for vs in corners for v in vs})), tuple(edges),
+        tuple((edge_at[(a, b)], edge_at[(a, c)], edge_at[(b, c)]) for a, b, c in faces),
+        tuple(tet_slots))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ Vertex ids are nonnegative integers, total order = numeric order.
 ``format_complex`` writes simplicial mode only when the tets determine the
 complex (``complexes.determined_by_tets``), so stray simplices survive.
 
+Each text is lexed once into numbered token lines, read by position.  One
+table reader serves group files and inline group blocks: a positive order,
+each row at its own line, the row count, then the group axioms.  An inline
+table is the next <order> lines; ``action`` takes the rest of the file.
+
 Loaders validate everything a definition requires and raise FormatError
 with the line number: the group axioms, and the crossed-module axioms of
 ``crossed_modules.validate``.  The Peiffer identity is not one of them;
@@ -33,6 +38,7 @@ with the line number: the group axioms, and the crossed-module axioms of
 from __future__ import annotations
 
 import io
+import itertools
 from pathlib import Path
 
 from .complexes import (ComplexBuilder, ComplexStructureError, OrderedComplex,
@@ -56,19 +62,33 @@ def _fail(source: str, lineno: int, msg: str):
     raise FormatError(f"{source}:{lineno}: {msg}")
 
 
-def _row(source: str, lineno: int, tokens: list[str], order: int) -> list[int]:
-    try:
-        row = [int(t) for t in tokens]
-    except ValueError:
-        _fail(source, lineno, f"non-integer table entry in {tokens}")
-    if len(row) != order:
-        _fail(source, lineno, f"expected {order} entries, got {len(row)}")
-    return row
+def _rows_text(table) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in table)
 
 
-def _group(rows: list[list[int]], name: str, where: str) -> FiniteGroup:
+def _order(source: str, lineno: int, token: str) -> int:
+    if not token.isdecimal() or int(token) == 0:
+        _fail(source, lineno, f"order {token!r} is not a positive integer")
+    return int(token)
+
+
+def _table(source: str, header: int, name: str, order: int,
+           rows: list[tuple[int, list[str]]], where: str) -> FiniteGroup:
+    """The group whose table is ``rows``, (lineno, tokens) pairs below the
+    header at line ``header``: each row is checked at its own line, the
+    row count at the header's, the axioms by ``FiniteGroup.from_table``."""
+    table = []
+    for lineno, tokens in rows:
+        try:
+            table.append([int(t) for t in tokens])
+        except ValueError:
+            _fail(source, lineno, f"non-integer table entry in {tokens}")
+        if len(tokens) != order:
+            _fail(source, lineno, f"expected {order} entries, got {len(tokens)}")
+    if len(table) != order:
+        _fail(source, header, f"expected {order} table rows, got {len(table)}")
     try:
-        return FiniteGroup.from_table(rows, name)
+        return FiniteGroup.from_table(table, name)
     except GroupTableError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
@@ -78,26 +98,14 @@ def _group(rows: list[list[int]], name: str, where: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 def parse_group(text: str, source: str = "<group>") -> FiniteGroup:
-    rows: list[list[int]] = []
-    name = None
-    order = None
-    header = 0
-    for lineno, tokens in _lines(text):
-        if name is None:
-            if tokens[0] != "group" or len(tokens) != 3:
-                _fail(source, lineno, "expected header 'group <name> <order>'")
-            name, header = tokens[1], lineno
-            try:
-                order = int(tokens[2])
-            except ValueError:
-                _fail(source, lineno, f"order {tokens[2]!r} is not an integer")
-            continue
-        rows.append(_row(source, lineno, tokens, order))
-    if name is None:
+    lines = list(_lines(text))
+    if not lines:
         _fail(source, 0, "empty group file")
-    if len(rows) != order:
-        _fail(source, header, f"expected {order} table rows, got {len(rows)}")
-    return _group(rows, name, source)
+    header, tokens = lines[0]
+    if tokens[0] != "group" or len(tokens) != 3:
+        _fail(source, header, "expected header 'group <name> <order>'")
+    return _table(source, header, tokens[1], _order(source, header, tokens[2]),
+                  lines[1:], source)
 
 
 def load_group(path: str | Path) -> FiniteGroup:
@@ -106,11 +114,7 @@ def load_group(path: str | Path) -> FiniteGroup:
 
 
 def format_group(g: FiniteGroup) -> str:
-    out = io.StringIO()
-    out.write(f"group {g.name} {g.order}\n")
-    for a in range(g.order):
-        out.write(" ".join(str(int(x)) for x in g.table[a]) + "\n")
-    return out.getvalue()
+    return f"group {g.name} {g.order}\n" + _rows_text(g.table)
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +132,13 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
     delta: list[int] | None = None
     delta_line = action_line = 0
     action_rows: list[tuple[int, list[int]]] = []
-    # None | ("inline", key, order, [(lineno, tokens)], name, lineno) | "action"
-    mode = None
-    for lineno, tokens in _lines(text):
-        if isinstance(mode, tuple):
-            if tokens[0] in _DIRECTIVES:
-                break  # the table is cut short
-            key, order, rows, gname, header = mode[1:]
-            rows.append((lineno, tokens))
-            if len(rows) == order:
-                table = [_row(source, n, row, order) for n, row in rows]
-                groups[key] = _group(table, gname, f"{source}:{header}: group_{key}")
-                mode = None
-            continue
-        if mode == "action":
-            try:
-                action_rows.append((lineno, [int(t) for t in tokens]))
-            except ValueError:
-                _fail(source, lineno, f"non-integer action entry in {tokens}")
-            continue
+    lines = _lines(text)
+    for lineno, tokens in lines:
         if name is None:
             if tokens[0] != "cmod" or len(tokens) != 2:
                 _fail(source, lineno, "expected header 'cmod <name>'")
             name = tokens[1]
-            continue
-        if tokens[0] in ("group_h", "group_g"):
+        elif tokens[0] in ("group_h", "group_g"):
             key = tokens[0][-1]
             if len(tokens) >= 3 and tokens[1] == "file":
                 try:
@@ -160,9 +146,16 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
                 except OSError as exc:
                     _fail(source, lineno, f"cannot read {tokens[2]!r}: {exc.strerror}")
             elif len(tokens) >= 4 and tokens[1] == "inline":
-                if not tokens[3].isdecimal() or int(tokens[3]) == 0:
-                    _fail(source, lineno, f"order {tokens[3]!r} is not a positive integer")
-                mode = ("inline", key, int(tokens[3]), [], tokens[2], lineno)
+                # the table is the next <order> lines, unless a directive
+                # comes first
+                order = _order(source, lineno, tokens[3])
+                rows = list(itertools.islice(lines, order))
+                read = next((k for k, (_, row) in enumerate(rows) if row[0] in _DIRECTIVES),
+                            len(rows))
+                if read < order:
+                    _fail(source, lineno, f"group_{key} table ends after {read} of {order} rows")
+                groups[key] = _table(source, lineno, tokens[2], order, rows,
+                                     f"{source}:{lineno}: group_{key}")
             else:
                 _fail(source, lineno, f"expected '{tokens[0]} file <path>' or "
                                       f"'{tokens[0]} inline <name> <order>'")
@@ -173,12 +166,14 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
             except ValueError:
                 _fail(source, lineno, "non-integer delta image")
         elif tokens[0] == "action":
-            mode, action_line = "action", lineno
+            action_line = lineno
+            for n, row in lines:
+                try:
+                    action_rows.append((n, [int(t) for t in row]))
+                except ValueError:
+                    _fail(source, n, f"non-integer action entry in {row}")
         else:
             _fail(source, lineno, f"unexpected directive {tokens[0]!r}")
-    if isinstance(mode, tuple):
-        _fail(source, mode[5], f"group_{mode[1]} table ends after {len(mode[3])} "
-                               f"of {mode[2]} rows")
     for key in ("h", "g"):
         if key not in groups:
             _fail(source, 0, f"missing group_{key}")
@@ -207,17 +202,11 @@ def load_crossed_module(path: str | Path) -> CrossedModule:
 
 
 def format_crossed_module(cm: CrossedModule) -> str:
-    out = io.StringIO()
-    out.write(f"cmod {cm.name}\n")
+    text = f"cmod {cm.name}\n"
     for key, grp in (("h", cm.h), ("g", cm.g)):
-        out.write(f"group_{key} inline {grp.name} {grp.order}\n")
-        for a in range(grp.order):
-            out.write(" ".join(str(int(x)) for x in grp.table[a]) + "\n")
-    out.write("delta " + " ".join(str(x) for x in cm.boundary.map) + "\n")
-    out.write("action\n")
-    for x in range(cm.g.order):
-        out.write(" ".join(str(int(y)) for y in cm.action[x]) + "\n")
-    return out.getvalue()
+        text += f"group_{key} inline {grp.name} {grp.order}\n" + _rows_text(grp.table)
+    delta = " ".join(map(str, cm.boundary.map))
+    return text + f"delta {delta}\naction\n" + _rows_text(cm.action)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +222,7 @@ def parse_complex(text: str, source: str = "<complex>") -> OrderedComplex:
             _fail(source, lineno, f"unexpected line {' '.join(tokens)!r}")
     # delta mode announces itself with vertex/edge/face lines or 6-token tets
     if any(t[0] != "tet" or len(t) == 6 for _, t in parsed):
-        return _parse_delta_mode(text, source)
+        return _parse_delta_mode(parsed, source)
     tets = []
     for lineno, tokens in parsed:
         if len(tokens) != 5:
@@ -248,7 +237,7 @@ def parse_complex(text: str, source: str = "<complex>") -> OrderedComplex:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def _parse_delta_mode(text: str, source: str) -> OrderedComplex:
+def _parse_delta_mode(parsed: list[tuple[int, list[str]]], source: str) -> OrderedComplex:
     b = ComplexBuilder()
     edge_ids: dict[int, int] = {}
     face_ids: dict[int, int] = {}
@@ -258,7 +247,7 @@ def _parse_delta_mode(text: str, source: str) -> OrderedComplex:
             _fail(source, lineno, f"unknown {kind} id {key}")
         return table[key]
 
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in parsed:
         kind = tokens[0]
         try:
             ids = [int(t) for t in tokens[1:]]

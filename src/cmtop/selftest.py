@@ -7,9 +7,9 @@ whole of its finite domain, with no sampling: every applicable move of
 every trial complex under every fixture module, every vertex permutation
 of each fixture, every assignment of the boundary equation system, every
 admissible single-tet coloring and every single-token mutation of a
-serialized module.  tests/test_acceptance.py runs the same functions
-through pytest; the CLI ``selftest`` subcommand prints one line per
-criterion.
+serialized module.  ``CRITERIA`` lists them once, as (number, name,
+function): tests/test_acceptance.py runs each through pytest, and the CLI
+``selftest`` subcommand prints one line per criterion.
 """
 
 from __future__ import annotations
@@ -355,17 +355,19 @@ def criterion_10_validation():
 
 # --- driver ---------------------------------------------------------------------
 
+CRITERIA = (
+    (1, "disk value", criterion_1_disk),
+    (2, "solid torus", criterion_2_solid_torus),
+    (3, "sphere x interval", criterion_3_sphere_interval),
+    (4, "move invariance", criterion_4_move_invariance),
+    (5, "order invariance", criterion_5_order_invariance),
+    (6, "engine equivalence", criterion_6_engine_equivalence),
+    (7, "knot words", criterion_7_knot_words),
+    (8, "boundary equation system", criterion_8_boundary_system),
+    (9, "consistency identity", criterion_9_consistency),
+    (10, "mutation validation", criterion_10_validation),
+)
+
+
 def run_selftest():
-    checks = [
-        (1, "disk value", criterion_1_disk),
-        (2, "solid torus", criterion_2_solid_torus),
-        (3, "sphere x interval", criterion_3_sphere_interval),
-        (4, "move invariance", criterion_4_move_invariance),
-        (5, "order invariance", criterion_5_order_invariance),
-        (6, "engine equivalence", criterion_6_engine_equivalence),
-        (7, "knot words", criterion_7_knot_words),
-        (8, "boundary equation system", criterion_8_boundary_system),
-        (9, "consistency identity", criterion_9_consistency),
-        (10, "mutation validation", criterion_10_validation),
-    ]
-    return [_timed(num, name, fn) for num, name, fn in checks]
+    return [_timed(num, name, fn) for num, name, fn in CRITERIA]

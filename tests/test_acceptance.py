@@ -5,6 +5,10 @@ from cmtop import fixtures, selftest
 from cmtop.moves import MOVE_DELTAS, apply, enumerate_applicable
 
 
+def _criterion(number):
+    return selftest._timed(*selftest.CRITERIA[number - 1])
+
+
 def _run(result):
     print()
     print(result.line())
@@ -14,20 +18,19 @@ def _run(result):
 
 
 def test_criterion_01_disk_value():
-    _run(selftest._timed(1, "disk value", lambda: selftest.criterion_1_disk()))
+    _run(_criterion(1))
 
 
 def test_criterion_02_solid_torus():
-    _run(selftest._timed(2, "solid torus", lambda: selftest.criterion_2_solid_torus()))
+    _run(_criterion(2))
 
 
 def test_criterion_03_sphere_interval():
-    _run(selftest._timed(3, "sphere x interval",
-                         lambda: selftest.criterion_3_sphere_interval()))
+    _run(_criterion(3))
 
 
 def test_criterion_04_move_invariance():
-    result = selftest._timed(4, "move invariance", selftest.criterion_4_move_invariance)
+    result = _criterion(4)
     _run(result)
     assert result.elapsed < 600.0
     # one check per (trial complex, applicable move, crossed module): the
@@ -47,25 +50,22 @@ def test_criterion_04_move_invariance():
 
 
 def test_criterion_05_order_invariance():
-    _run(selftest._timed(5, "order invariance",
-                         selftest.criterion_5_order_invariance))
+    _run(_criterion(5))
 
 
 def test_criterion_06_engine_equivalence():
-    result = selftest._timed(6, "engine equivalence",
-                             selftest.criterion_6_engine_equivalence)
+    result = _criterion(6)
     _run(result)
     # every valid fixture pair the oracle's default budget holds: 46 of 6 x 9
     assert result.details.startswith("fast == brute on all 46 fixture pairs ")
 
 
 def test_criterion_07_knot_words():
-    _run(selftest._timed(7, "knot words", selftest.criterion_7_knot_words))
+    _run(_criterion(7))
 
 
 def test_criterion_08_boundary_system():
-    result = selftest._timed(8, "boundary equation system",
-                             selftest.criterion_8_boundary_system)
+    result = _criterion(8)
     _run(result)
     # counterexamples to the fourth equation exist over Z/3 under the
     # one-variable reading of g_3''4; they must be surfaced, not dropped
@@ -74,10 +74,8 @@ def test_criterion_08_boundary_system():
 
 
 def test_criterion_09_consistency_identity():
-    _run(selftest._timed(9, "consistency identity",
-                         selftest.criterion_9_consistency))
+    _run(_criterion(9))
 
 
 def test_criterion_10_mutation_validation():
-    _run(selftest._timed(10, "mutation validation",
-                         selftest.criterion_10_validation))
+    _run(_criterion(10))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import cmtop
 from cmtop import fixtures
 from cmtop.cli import main
-from cmtop.complexes import OrderedComplex, are_isomorphic
+from cmtop.complexes import OrderedComplex, are_isomorphic, relabel
 from cmtop.crossed_modules import make_crossed_module, peiffer_violations
 from cmtop.fileio import (
     FormatError,
@@ -26,17 +27,16 @@ from cmtop.fileio import (
     parse_group,
 )
 from cmtop.groups import build_cyclic
+from cmtop.moves import MOVE_KINDS, apply, enumerate_applicable
 from cmtop.statesum import DEFAULT_BUDGET, invariant
 
 
 def test_group_round_trip(tmp_path):
-    for name in ("z2", "z6", "s3", "k4"):
+    for name in fixtures.GROUPS:
         g = fixtures.group(name)
         path = tmp_path / f"{name}.grp"
         path.write_text(format_group(g))
-        back = load_group(path)
-        assert back.order == g.order
-        assert back.table == g.table
+        assert load_group(path) == g
 
 
 def test_group_parse_rejects_bad_files():
@@ -50,16 +50,29 @@ def test_group_parse_rejects_bad_files():
         parse_group("group g 3\n0 1 2\n1 0 0\n2 0 0")
 
 
+def test_group_order_must_be_a_positive_integer(tmp_path):
+    # one order check for group files and inline tables, at the header's line
+    for order in ("-1", "0"):
+        message = f"order '{order}' is not a positive integer"
+        with pytest.raises(FormatError) as exc:
+            parse_group(f"group G {order}\n")
+        assert str(exc.value) == f"<group>:1: {message}"
+        (tmp_path / "g.grp").write_text(f"group G {order}\n0 1\n1 0\n")
+        (tmp_path / "m.cmod").write_text("cmod m\ngroup_h file g.grp\n")
+        with pytest.raises(FormatError) as exc:
+            load_crossed_module(tmp_path / "m.cmod")
+        assert str(exc.value) == f"{tmp_path / 'g.grp'}:1: {message}"
+        with pytest.raises(FormatError) as exc:
+            parse_crossed_module(f"cmod m\ngroup_h inline G {order}\n0 1\n1 0\n")
+        assert str(exc.value) == f"<cmod>:2: {message}"
+
+
 def test_crossed_module_round_trip(tmp_path):
-    for name in ("id_z3", "conj_z2z2", "z4_to_z2", "trivh_s3"):
+    for name in fixtures.CM_NAMES:
         cm = fixtures.crossed_module(name)
         path = tmp_path / f"{name}.cmod"
         path.write_text(format_crossed_module(cm))
-        back = load_crossed_module(path)
-        assert back.h.order == cm.h.order
-        assert back.g.order == cm.g.order
-        assert back.boundary.map == cm.boundary.map
-        assert back.action == cm.action
+        assert load_crossed_module(path) == cm
 
 
 def test_crossed_module_group_by_file(tmp_path):
@@ -107,13 +120,38 @@ def test_complex_simplicial_round_trip(tmp_path):
 
 
 def test_complex_delta_round_trip(tmp_path):
+    # delta mode keeps declaration order, so the tables come back as written
     for name in ("solid_torus", "s2_interval"):
         c = fixtures.COMPLEXES[name]()
         path = tmp_path / f"{name}.tri"
         path.write_text(format_complex(c))
-        back = load_complex(path)
-        assert back.counts == c.counts
-        assert are_isomorphic(back, c)
+        assert load_complex(path) == c
+
+
+def test_complex_round_trip_over_every_fixture():
+    rng, walked, moves = random.Random(0), fixtures.s3_boundary_4simplex(), 0
+    while moves < 20:  # a seeded 20-move walk
+        found = enumerate_applicable(walked, rng.choice(MOVE_KINDS))
+        if found:
+            walked, moves = apply(walked, rng.choice(found)), moves + 1
+    ids = list(walked.vertices)
+    rng.shuffle(ids)
+    cases = [fixtures.COMPLEXES[name]() for name in fixtures.COMPLEXES if name != "s2_interval_big"]
+    cases += [walked, relabel(walked, dict(zip(walked.vertices, ids)))]
+    for c in cases:
+        assert parse_complex(format_complex(c)) == c
+    # s2_interval_big is built by prism_product but written as a tet list,
+    # which the reader numbers in sorted order: the same complex, renumbered
+    big = fixtures.s2_interval_big()
+    back = parse_complex(format_complex(big))
+    assert back != big and are_isomorphic(back, big)
+
+
+def test_simplicial_tets_are_read_in_any_vertex_order():
+    assert parse_complex("tet 4 3 2 1\n") == parse_complex("tet 1 2 3 4\n")
+    assert parse_complex("tet 5 3 4 2\ntet 3 1 4 2\n") == fixtures.two_tet_ball()
+    with pytest.raises(FormatError, match="must have 4 distinct vertices"):
+        parse_complex("tet 3 1 3 2\n")
 
 
 # single_tet's Δ-mode tables plus an isolated vertex 9

@@ -41,6 +41,25 @@ def unread_imports(tree):
     return out
 
 
+def self_calls(tree):
+    """(line, function) for each call that a ``def`` makes to its own name,
+    by a bare name or as a method of self or cls, in its body or in a
+    function nested there."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in (n for stmt in node.body for n in ast.walk(stmt)):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id == node.name
+                    or isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")):
+                out.append((call.lineno, node.name))
+    return out
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "moves.py", "statesum.py", "cli.py"}
 
@@ -83,3 +102,27 @@ def test_unread_imports_are_found():
         "    import json\n"
         "    return os.path.join(x) + prod(x)\n")
     assert unread_imports(tree) == [(2, "heapq"), (4, "np"), (5, "gcd")]
+
+
+def test_no_function_calls_itself():
+    # the stack depth of the one exception is the number of generators of
+    # a group H, at most log2 |H|
+    calls = [(path.name, name) for path in SOURCES
+             for _, name in self_calls(ast.parse(path.read_text(), str(path)))]
+    assert calls == [("groups.py", "extend")]
+
+
+def test_self_calls_are_found():
+    tree = ast.parse(
+        "def f(n):\n"
+        "    return f(n - 1) if n else g(n)\n"
+        "def g(n):\n"
+        "    def inner():\n"
+        "        return g(n)\n"
+        "    return inner\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        return self.m(x) + other.m(x) + self.n(x)\n"
+        "    def n(self, x):\n"
+        "        return x\n")
+    assert self_calls(tree) == [(2, "f"), (5, "g"), (9, "m")]
