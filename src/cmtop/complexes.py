@@ -348,12 +348,8 @@ def splice(c: OrderedComplex, drop: Sequence[Sequence[int]], vertices: Sequence[
                                         for e01, e02, _ in faces)
     tet_locals = c.tet_locals + tuple((*face_locals[f012], face_locals[f013][2])
                                       for f012, f013, _, _ in tets)
-    out_faces = _cut(all_faces, drop_f)
-    if drop_e:
-        out_faces = _renumbered(out_faces, len(all_edges), drop_e)
-    out_tets = _cut(c.tets + tuple(tets), drop_t)
-    if drop_f:
-        out_tets = _renumbered(out_tets, len(all_faces), drop_f)
+    out_faces = _renumbered(_cut(all_faces, drop_f), len(all_edges), drop_e)
+    out_tets = _renumbered(_cut(c.tets + tuple(tets), drop_t), len(all_faces), drop_f)
     out = OrderedComplex(_cut(c.vertices, [c.vertices.index(v) for v in drop_v]) + tuple(vertices),
                          _cut(all_edges, drop_e), out_faces, out_tets)
     vars(out).update(face_locals=_cut(face_locals, drop_f), tet_locals=_cut(tet_locals, drop_t))
@@ -375,6 +371,8 @@ def _cut(table: tuple, drop: Sequence[int]) -> tuple:
 def _renumbered(table: tuple, n: int, drop: Sequence[int]) -> tuple:
     """Each entry's slots, which point into n simplices of which the
     ascending ``drop`` were cut, renamed to the survivors' new indices."""
+    if not drop:
+        return table
     new, start = [], 0
     for k, i in enumerate(drop):
         new += range(start - k, i - k)

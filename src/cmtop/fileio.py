@@ -140,12 +140,12 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
             name = tokens[1]
         elif tokens[0] in ("group_h", "group_g"):
             key = tokens[0][-1]
-            if len(tokens) >= 3 and tokens[1] == "file":
+            if len(tokens) == 3 and tokens[1] == "file":
                 try:
                     groups[key] = load_group(Path(base_dir) / tokens[2])
                 except OSError as exc:
                     _fail(source, lineno, f"cannot read {tokens[2]!r}: {exc.strerror}")
-            elif len(tokens) >= 4 and tokens[1] == "inline":
+            elif len(tokens) == 4 and tokens[1] == "inline":
                 # the table is the next <order> lines, unless a directive
                 # comes first
                 order = _order(source, lineno, tokens[3])
@@ -166,6 +166,8 @@ def parse_crossed_module(text: str, source: str = "<cmod>",
             except ValueError:
                 _fail(source, lineno, "non-integer delta image")
         elif tokens[0] == "action":
+            if len(tokens) != 1:
+                _fail(source, lineno, "expected 'action' alone, with its rows on the lines below")
             action_line = lineno
             for n, row in lines:
                 try:

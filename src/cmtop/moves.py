@@ -21,10 +21,16 @@ kind, the types of its target and new vertex, then the kind's
 precondition, which reads the descriptor.  Each kind is split in two.  Its
 precondition raises every MoveError the move can raise, each with a
 witness, and its assembly cannot fail once the precondition holds.
-``enumerate_applicable`` builds each candidate's descriptor from the kind,
-a target and the fresh vertex, and runs only the precondition on it, so it
-decides each candidate without assembling a patch, let alone building a
-complex.  ``apply`` runs the precondition, then the assembly, which puts
+A kind's targets are the candidates its incidence counts allow: any tet
+for P14, an interior face for P23 and a boundary face for B13; for P32
+and B22 an edge in exactly three faces, none or two of them on the
+boundary; for P41 and B31 a vertex at exactly four or three tet corners,
+counted with multiplicity.  Each filter is a necessary condition of its
+precondition, which decides only those candidates.
+``enumerate_applicable`` builds each target's descriptor from the kind,
+the target and the fresh vertex, and runs only the precondition on it, so
+it decides each candidate without assembling a patch, let alone building
+a complex.  ``apply`` runs the precondition, then the assembly, which puts
 the move together as a patch against its input (the simplices it drops
 and the ones it adds, each new face and tet given its slot order
 directly), then builds the patch with ``complexes.splice``.  That cuts the
@@ -500,16 +506,34 @@ def _patch_b22(c: OrderedComplex, plan) -> _Patch:
                  [(p, y, q, r) for y in (d_tail, d_head)])
 
 
-# each kind's targets, the candidates enumerate_applicable tries; its
-# precondition, which reads a descriptor and raises MoveError or returns
-# what its assembly needs; and its assembly, which cannot fail
+def _edges_at(boundary: int):
+    """The edges in exactly three faces, ``boundary`` of them on the boundary."""
+    def targets(c):
+        on = [len(inc) == 1 for inc in c.face_incidence]
+        return [x for x, fs in enumerate(c.edge_faces)
+                if len(fs) == 3 and on[fs[0]] + on[fs[1]] + on[fs[2]] == boundary]
+    return targets
+
+
+def _vertices_at(corners: int):
+    """The vertices at exactly ``corners`` tet corners, counted with multiplicity."""
+    def targets(c):
+        count = Counter(itertools.chain.from_iterable(c.tet_locals))
+        return [v for v in c.vertices if count[v] == corners]
+    return targets
+
+
+# each kind's targets, the candidates its incidence counts allow, each
+# filter a necessary condition of its precondition; its precondition, which
+# decides only those candidates, reads a descriptor and raises MoveError or
+# returns what its assembly needs; and its assembly, which cannot fail
 _MOVES = {
     "P14": (lambda c: range(len(c.tets)), _check_p14, _cone),
-    "P41": (lambda c: c.vertices, _check_uncone, _uncone),
+    "P41": (_vertices_at(4), _check_uncone, _uncone),
     "P23": (lambda c: [f for f in range(len(c.faces)) if not c.is_boundary_face(f)],
             _check_p23, _patch_p23),
-    "P32": (lambda c: range(len(c.edges)), _check_p32, _patch_p32),
+    "P32": (_edges_at(0), _check_p32, _patch_p32),
     "B13": (OrderedComplex.boundary_face_indices, _check_b13, _cone),
-    "B31": (lambda c: c.vertices, _check_uncone, _uncone),
-    "B22": (lambda c: range(len(c.edges)), _check_b22, _patch_b22),
+    "B31": (_vertices_at(3), _check_uncone, _uncone),
+    "B22": (_edges_at(2), _check_b22, _patch_b22),
 }

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cmtop import fixtures
+from cmtop import complexes, fixtures
 from cmtop.complexes import (
     ComplexBuilder,
     ComplexStructureError,
@@ -516,3 +516,23 @@ def test_vertex_stars_list_a_simplex_once_whatever_its_repeated_corners():
             v: tuple(tuple(s for s, corners in enumerate(table) if v in set(corners))
                      for table in (c.tet_locals, c.edges, c.face_locals))
             for v in c.vertices}
+
+
+@pytest.mark.parametrize("table, n, drop, renamed", [
+    # a face table over 7 edges: the first, the last, an adjacent run and
+    # several scattered ones dropped
+    (((1, 2, 3), (4, 5, 6), (6, 1, 2)), 7, (0,), ((0, 1, 2), (3, 4, 5), (5, 0, 1))),
+    (((0, 1, 2), (3, 4, 5), (5, 0, 1)), 7, (6,), ((0, 1, 2), (3, 4, 5), (5, 0, 1))),
+    (((0, 1, 5), (1, 5, 6), (6, 0, 1)), 7, (2, 3, 4), ((0, 1, 2), (1, 2, 3), (3, 0, 1))),
+    (((1, 2, 4), (2, 4, 5), (5, 1, 1)), 7, (0, 3, 6), ((0, 1, 2), (1, 2, 3), (3, 0, 0))),
+    # a tet table over 8 faces, the same way
+    (((1, 2, 3, 4), (5, 6, 7, 1)), 8, (0,), ((0, 1, 2, 3), (4, 5, 6, 0))),
+    (((0, 1, 2, 3), (4, 5, 6, 0)), 8, (7,), ((0, 1, 2, 3), (4, 5, 6, 0))),
+    (((0, 1, 2, 5), (5, 6, 7, 0)), 8, (3, 4), ((0, 1, 2, 3), (3, 4, 5, 0))),
+    (((1, 4, 5, 6), (6, 5, 4, 1)), 8, (0, 2, 3, 7), ((0, 1, 2, 3), (3, 2, 1, 0))),
+])
+def test_renumbered_renames_each_slot_to_its_survivor_index(table, n, drop, renamed):
+    # each slot names a survivor, renamed to its index among the survivors;
+    # with nothing dropped the table itself comes back
+    assert complexes._renumbered(table, n, drop) == renamed
+    assert complexes._renumbered(table, n, ()) is table

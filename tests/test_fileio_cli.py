@@ -278,6 +278,28 @@ def test_cli_malformed_crossed_module_file_names_the_line(tmp_path, capsys):
         assert err.startswith(f"error: {expected}") and message in err, err
 
 
+def test_crossed_module_lines_refuse_extra_tokens(tmp_path):
+    # a group line or the action line with a token past its form is refused
+    # at that line, as the cmod, group and delta lines are; without the
+    # extra token each text loads as the module
+    good = format_crossed_module(fixtures.crossed_module("id_z2")).splitlines()
+    (tmp_path / "z2.grp").write_text("group Z2 2\n0 1\n1 0\n")
+    group_form = "expected 'group_h file <path>' or 'group_h inline <name> <order>'"
+    cases = [
+        (["group_h file z2.grp", "junk"], good[4:], 2, group_form),
+        (["group_h inline Z2 2", "junk"], good[2:], 2, group_form),
+        (good[1:8] + ["action", "7 7"], good[9:], 9,
+         "expected 'action' alone, with its rows on the lines below"),
+    ]
+    for (*head, line, extra), tail, lineno, message in cases:
+        clean = "\n".join(good[:1] + head + [line] + tail) + "\n"
+        assert parse_crossed_module(clean, "bad.cmod", tmp_path) == fixtures.crossed_module("id_z2")
+        text = "\n".join(good[:1] + head + [f"{line} {extra}"] + tail) + "\n"
+        with pytest.raises(FormatError) as refused:
+            parse_crossed_module(text, "bad.cmod", tmp_path)
+        assert str(refused.value) == f"bad.cmod:{lineno}: {message}"
+
+
 def test_non_peiffer_file_loads_and_computes_like_the_module(tmp_path):
     # the loaders check the definition only; the Peiffer identity is a
     # property that validate-cm and the engine read

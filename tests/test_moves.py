@@ -253,6 +253,42 @@ def test_enumeration_builds_nothing(monkeypatch):
         apply(c, found["P41"][0])
 
 
+def test_only_the_candidates_the_incidence_allows_reach_a_precondition(monkeypatch, p14_ball):
+    # P32 and B22 decide only edges in exactly three faces, none or two of
+    # them on the boundary, and P41 and B31 only vertices at exactly four
+    # or three tet corners, counted with multiplicity; the pinned counts
+    # are (calls, edges or vertices) per kind
+    reached = {}
+
+    def counting(kind, check):
+        def counted(c, m):
+            reached[kind].append(m.target)
+            return check(c, m)
+        return counted
+
+    *_, walked = walk("s2_interval", seed=1)
+    for kind in ("P32", "B22", "P41", "B31"):
+        targets, check, assembly = moves._MOVES[kind]
+        monkeypatch.setitem(moves._MOVES, kind, (targets, counting(kind, check), assembly))
+    for c, pinned in ((walked, {"P32": (17, 62), "B22": (10, 62), "P41": (2, 17), "B31": (1, 17)}),
+                      (p14_ball, {"P32": (583, 1206), "B22": (0, 1206), "P41": (120, 304),
+                                  "B31": (0, 304)})):
+        for kind in pinned:
+            reached[kind] = []
+            enumerate_applicable(c, kind)
+        for kind, boundary in (("P32", 0), ("B22", 2)):
+            for x in reached[kind]:
+                faces = c.edge_faces[x]
+                assert len(faces) == 3, (kind, x, faces)
+                assert sum(map(c.is_boundary_face, faces)) == boundary, (kind, x, faces)
+        corners = Counter(v for locs in c.tet_locals for v in locs)
+        for kind, n in (("P41", 4), ("B31", 3)):
+            assert all(corners[v] == n for v in reached[kind]), (kind, reached[kind])
+        whole = {"P32": len(c.edges), "B22": len(c.edges),
+                 "P41": len(c.vertices), "B31": len(c.vertices)}
+        assert {kind: (len(reached[kind]), whole[kind]) for kind in pinned} == pinned
+
+
 @pytest.mark.parametrize("table, message", [
     ("faces", r"face edges \(\d+,\d+,\d+\) do not share endpoints consistently"),
     ("tets", r"tet faces \(\d+,\d+,\d+,\d+\) disagree on edge 02"),
