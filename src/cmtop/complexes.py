@@ -64,10 +64,11 @@ class ClosingPlan(NamedTuple):
 
 
 class TetSystem(NamedTuple):
-    """The layout of one equation per tet and one unknown per face: the
-    tets in reverse walk order (the rows), each row's (23) edge, and per
-    face in walk order its places as (row, slot is 0, sign), sign +1 for
-    slots 0 and 2 and -1 for slots 1 and 3."""
+    """The layout of the tet equations that a leaf must solve: one row per
+    tet of a closed walk component (one holding no boundary face), those
+    tets in reverse walk order, each row's (23) edge, and per face with a
+    place in those rows, in walk order, its places there as (row, slot is
+    0, sign), sign +1 for slots 0 and 2 and -1 for slots 1 and 3."""
 
     rows: tuple[int, ...]
     row_e23: tuple[int, ...]
@@ -258,14 +259,21 @@ class OrderedComplex:
     @cached_property
     def tet_system(self) -> TetSystem:
         """The rows and columns of the state sum's linear system on the
-        face colors.  The rows are the tets in reverse walk order, so a
+        face colors, for the closed walk components only: a component
+        holding a boundary face (a face in exactly one tet slot) has tet
+        equations that are onto at every leaf, so it needs no row.  The
+        rows are the closed components' tets in reverse walk order, so a
         reduction that pivots on the last row starts each face's column at
-        the tet where the walk first met the face."""
-        rows = tuple(t for component in reversed(self.walk) for t in reversed(component))
+        the tet where the walk first met the face.  A face keeps only its
+        places in those rows, and a face with none has no column."""
+        inc = self.face_incidence
+        closed = [component for component in self.walk
+                  if all(len(inc[f]) != 1 for t in component for f in self.tets[t])]
+        rows = tuple(t for component in reversed(closed) for t in reversed(component))
         row = {t: i for i, t in enumerate(rows)}
-        columns = tuple(tuple((row[t], s == 0, 1 if s in (0, 2) else -1)
-                              for t, s in self.face_incidence[f])
-                        for f in self.walk_faces)
+        columns = tuple(places for places in (
+            tuple((row[t], s == 0, 1 if s in (0, 2) else -1) for t, s in inc[f] if t in row)
+            for f in self.walk_faces) if places)
         return TetSystem(rows, tuple(self.faces[self.tets[t][3]][2] for t in rows), columns)
 
     @cached_property

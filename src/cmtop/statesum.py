@@ -46,7 +46,22 @@ abelian group A, twisted by the G-action: one equation per tet, one
 unknown per face.  It has none, or as many solutions as the homogeneous
 system has, counted by elimination mod the exponent of A (Gaussian
 elimination over F_p when A is elementary abelian); with A = {e} that
-count is 1 and the system is never read.  The engine is one function, an
+count is 1 and the system is never read.  Only the tets of closed
+components are rows.  Join two tets across each face in two slots of two
+different tets.  A component that holds a boundary face (a face in exactly
+one tet slot) has equations onto A^(T_c), T_c its tets, at every leaf:
+take a spanning tree of its tets across those faces, rooted at a tet with
+a boundary face, and give each tet its parent face (the root its boundary
+face).  Such a face lies in its tet and its parent and nowhere else (the
+root's in the root alone), so with the tets listed parents first the
+component's equations are triangular in those faces, with an automorphism
+of A on the diagonal (+-1, or g23 |> on slot 0), and are solved from the
+last tet up whatever the other faces hold.  So the image of A^F -> A^T is
+the bounded components' A^(T_c) times its image in the closed components'
+rows, and a leaf has none or |A|^(F - T + rows) / |that image| face
+colorings.  When every component has boundary no row is left and no leaf
+reduces anything: this is the onto half of the closed form of Faria
+Martins & Porter (TAC 18, 2007).  The engine is one function, an
 explicit-stack loop, so no complex is too large for the recursion limit,
 and it counts every leaf the same way, whatever ker(bnd) is.
 The engine never enumerates the full space, is bounded by a budget of
@@ -60,11 +75,11 @@ complex under many modules, or one module on many complexes, builds it
 once.  On the complex (``OrderedComplex``): the spanning forest that is
 pinned, the closing order laid out per depth with the faces each depth
 closes (``closing_plan``), and the rows and columns of the linear system
-in tet-walk order (``tet_system``).  On the module (``CrossedModule``):
-the Peiffer flag that picks the engine, ker(bnd), the preimage and coset
-tables of im(bnd) (``boundary_tables``), and the coordinates of A with its
-relations (``kernel_coordinates``).  A budget is 0 or more; ``None`` reads
-``CMTOP_BUDGET``.
+for the closed components in tet-walk order (``tet_system``).  On the
+module (``CrossedModule``): the Peiffer flag that picks the engine,
+ker(bnd), the preimage and coset tables of im(bnd) (``boundary_tables``),
+and the coordinates of A with its relations (``kernel_coordinates``).  A
+budget is 0 or more; ``None`` reads ``CMTOP_BUDGET``.
 """
 
 from __future__ import annotations
@@ -300,15 +315,17 @@ def _search(cm: CrossedModule, c: OrderedComplex, node_budget: int) -> int:
     in the complex's closing order: a forced edge takes the one
     representative its forcing face allows, a branch edge each in turn, and
     each face is checked at its last edge.  Only the gauge factor, the
-    relations copied once per tet, the edge colors and the faces' required
-    boundary images depend on both the module and the complex; the rest is
-    cached on one side."""
+    relations copied once per row of a closed component, the edge colors
+    and the faces' required boundary images depend on both the module and
+    the complex; the rest is cached on one side."""
     (steps, done_at), tables, coords = c.closing_plan, cm.boundary_tables, cm.kernel_coordinates
     pre, rep, reps = tables.preimage, tables.coset_rep, tables.coset_reps
     mul, inv, faces = cm.g.table, cm.g.inverses, c.faces
     rank = len(coords.generators)
+    # one copy per row; with A = {e} there is no relation and no row is read
     relations = {i * rank + l: {i * rank + q: x for q, x in rel.items()}
-                 for l, rel in enumerate(coords.relations) for i in range(len(c.tets))}
+                 for l, rel in enumerate(coords.relations)
+                 for i in range(len(c.tet_system.rows))}
     ga = [0] * len(c.edges)
     req = [-1] * len(faces)
     tried = [0] * len(steps)  # values tried so far at each depth
@@ -363,30 +380,42 @@ def _solve(cm: CrossedModule, c: OrderedComplex, relations: dict,
 
     With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
     obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
-    equation per tet, one unknown per face.  A is written as Z^r modulo
-    the module's relation lattice (``kernel_coordinates``, copied once per
-    tet in ``relations``), with entries mod its exponent; the complex's
-    ``tet_system`` gives the rows (the tets in reverse walk order, so
-    ``_reduce``, which pivots on the largest key, starts each face's column
-    at the tet where the walk first met the face) and the columns.  Face
-    f's column for a_l sums g23 |> a_l over its slot-0 places, +a_l over
-    slot 2 and -a_l over slots 1 and 3.  With the relations of the T copies
-    of A the columns span a lattice L in Z^(rT), and the homogeneous map
-    A^F -> A^T has an image of order |A|^T / [Z^(rT) : L].  So there are no
-    solutions or |A|^F / |image|, some exactly when the constants
-    coord(w_t(b)) lie in L, as they do once the image is all of A^T; then
-    no column can change the count either.  That is so from the start when
-    A = {e} or there is no tet, and then the system is never read.  A face
-    in no tet has an empty column, so its factor is |A|.
+    equation per tet, one unknown per face.  The equations of a walk
+    component with a boundary face are onto its tets' A^T_c: along a
+    spanning tree of its tets rooted at a tet with a boundary face, each
+    tet's parent face (the root's boundary face) lies only in that tet and
+    its parent, so in those columns the equations are triangular with an
+    automorphism of A (+-1 or g23 |>) on the diagonal.  Those faces reach
+    no other row, so the image of A^F -> A^T is the bounded components'
+    A^T_c times its image in the closed components' rows, the only rows
+    that ``tet_system`` lays out: there are no solutions or
+    |A|^(F - T + rows) / |image|, with image the order of the latter.
+    A is written as Z^r modulo the module's relation lattice
+    (``kernel_coordinates``, copied once per row in ``relations``), with
+    entries mod its exponent; the rows are the closed components' tets in
+    reverse walk order, so ``_reduce``, which pivots on the largest key,
+    starts each face's column at the tet where the walk first met the
+    face.  Face f's column for a_l sums g23 |> a_l over its slot-0 places
+    in those rows, +a_l over slot 2 and -a_l over slots 1 and 3.  With the
+    relations of the copies of A the columns span a lattice L in
+    Z^(r rows), and the image has order |A|^rows / [Z^(r rows) : L].  There
+    are solutions exactly when the constants coord(w_t(b)) of the rows lie
+    in L, as they do once the image is all of A^rows; then no column can
+    change the count either.  That is so from the start when no row is
+    left, as on every complex whose components all hold boundary.  With
+    A = {e} the count is 1, returned before the system is read.
     """
     order = len(cm.boundary_tables.kernel)
-    image, onto = 1, order**len(c.tets)
+    if order == 1:
+        return 1
+    rows, row_e23, columns = c.tet_system
+    free = order**(len(c.faces) - len(c.tets) + len(rows))
+    image, onto = 1, order**len(rows)
     if image == onto:
-        return order**len(c.faces)
+        return free
     h, act, pre = cm.h, cm.action, cm.boundary_tables.preimage
     mh, ih, tets = h.table, h.inverses, c.tets
     d, gens, coord, _ = cm.kernel_coordinates
-    rows, row_e23, columns = c.tet_system
     r = len(gens)
     g23 = [g_assign[e] for e in row_e23]
     basis = dict(relations)
@@ -408,7 +437,7 @@ def _solve(cm: CrossedModule, c: OrderedComplex, relations: dict,
             constants.update((i * r + q, x) for q, x in enumerate(w) if x)
         if _reduce(basis, constants, d) > 1:  # basis is this leaf's copy
             return 0
-    return order**len(c.faces) // image
+    return free // image
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -301,6 +301,110 @@ def test_a_trivial_kernel_builds_no_tet_system():
     assert "tet_system" in vars(c)
 
 
+_BOUNDED = ("single_tet", "two_tet_ball", "solid_torus", "s2_interval", "s2_interval_big")
+
+
+def test_the_tet_system_lays_out_only_the_closed_components():
+    for name in _BOUNDED:
+        assert fixtures.COMPLEXES[name]().tet_system == ((), (), ())
+    s3, torus = fixtures.s3_boundary_4simplex(), fixtures.solid_torus()
+    assert sorted(s3.tet_system.rows) == list(range(5))
+    for u, s3_tets in ((disjoint_union(torus, s3), range(3, 8)),
+                       (disjoint_union(s3, torus), range(5))):
+        assert sorted(u.tet_system.rows) == list(s3_tets)
+
+
+def test_no_leaf_of_a_bounded_fixture_reduces_a_column(monkeypatch):
+    # every leaf's tet system on a complex with boundary is onto, so the
+    # engine folds nothing there; on S^3 it does
+    calls, reduce = [], statesum._reduce
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(statesum, "_reduce", counted)
+    cm = fixtures.crossed_module("conj_z2z2")
+    for name in _BOUNDED:
+        invariant(cm, fixtures.COMPLEXES[name]())
+    assert calls == []
+    invariant(cm, fixtures.s3_boundary_4simplex())
+    assert calls
+
+
+def _full_system_image(cm, c, g_assign):
+    """The order of the image of the homogeneous tet system A^F -> A^T with
+    every tet a row, under the edge colors ``g_assign``: laid out here from
+    the slots, apart from ``tet_system``, and folded with ``_reduce``."""
+    d, gens, coord, relations = cm.kernel_coordinates
+    r, act = len(gens), cm.action
+    basis = {t * r + l: {t * r + q: x for q, x in rel.items()}
+             for t in range(len(c.tets)) for l, rel in enumerate(relations)}
+    image = 1
+    for places in c.face_incidence:
+        for a in gens:
+            col = {}
+            for t, slot in places:
+                x = act[g_assign[c.faces[c.tets[t][3]][2]]][a] if slot == 0 else a
+                sign = 1 if slot in (0, 2) else -1
+                for q, y in enumerate(coord[x]):
+                    col[t * r + q] = (col.get(t * r + q, 0) + sign * y) % d
+            image *= statesum._reduce(basis, {k: y for k, y in col.items() if y}, d)
+    return image
+
+
+def test_the_tet_system_of_a_bounded_complex_is_onto():
+    # the theorem the engine's tet_system rests on, checked on the full
+    # system under random edge colors, flat or not
+    modules = [fixtures.crossed_module(n) for n in ("conj_z2z2", "conj_z3", "z4_to_z2")]
+    modules += [_z8_to_z2(), _z4_negated_over_z2(), *_z4_with_an_order_2_generator()]
+    complexes = [fixtures.COMPLEXES[name]() for name in _BOUNDED]
+    for name, seed in (("solid_torus", 3), ("s2_interval", 4)):
+        rng, c = random.Random(seed), fixtures.COMPLEXES[name]()
+        for step in range(24):
+            found = enumerate_applicable(c, rng.choice(MOVE_KINDS))
+            if found:
+                c = apply(c, rng.choice(found))
+            if step % 6 == 5:
+                complexes.append(c)
+    rng = random.Random(5)
+    for c in complexes:
+        assert c.boundary_face_indices() and len(c.walk) == 1
+        for cm in modules:
+            for _ in range(2):
+                g = [rng.randrange(cm.g.order) for _ in c.edges]
+                assert _full_system_image(cm, c, g) == len(cm.boundary_tables.kernel)**len(c.tets)
+    # not so on a closed complex: under the trivial action, the sum of the
+    # tets' equations with their orientation signs vanishes on S^3
+    s3 = fixtures.s3_boundary_4simplex()
+    cm = fixtures.crossed_module("z4_to_z2")
+    assert _full_system_image(cm, s3, [0] * len(s3.edges)) < 2**len(s3.tets)
+
+
+def test_engine_matches_the_oracle_on_closed_and_bounded_components_together():
+    # the single tet tripled has every face in three tet slots, so none is a
+    # boundary face and each tet is a closed component with its own rows;
+    # taking "every face in two slots" for closed would give 864, not 13824,
+    # under conj_z2z2.  In the solid torus with S^3 only S^3's tets are rows,
+    # and N is the product of the parts' N: the torus's from the oracle, and
+    # S^3's from the engine, which lays out every tet of S^3 and matches the
+    # oracle wherever the oracle reaches S^3.
+    t, torus = fixtures.single_tet(), fixtures.solid_torus()
+    tripled = OrderedComplex(t.vertices, t.edges, t.faces, t.tets * 3)
+    s3 = fixtures.s3_boundary_4simplex()
+    modules = [fixtures.crossed_module(n) for n in ("conj_z2z2", "conj_z3", "z4_to_z2")]
+    modules += [_z8_to_z2(), _z4_negated_over_z2(), _cyclic_times(8, 2)]
+    for cm in modules:
+        assert invariant(cm, tripled) == brute_force_invariant(cm, tripled), cm.name
+        closed = invariant(cm, s3).admissible_count
+        if cm.name in ("conj_z3", "z4_to_z2", "z4_negated"):
+            assert closed == brute_force_invariant(cm, s3).admissible_count, cm.name
+        n = brute_force_invariant(cm, torus).admissible_count * closed
+        for u in (disjoint_union(torus, s3), disjoint_union(s3, torus)):
+            assert invariant(cm, u).admissible_count == n, cm.name
+    assert invariant(fixtures.crossed_module("conj_z2z2"), tripled).admissible_count == 13824
+
+
 def test_peiffer_identity_is_checked_once_per_module(monkeypatch):
     calls = []
 
