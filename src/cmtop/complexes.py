@@ -15,7 +15,9 @@ walk, the spanning forest, the closing plan (the edges off the forest in
 closing order, one per depth, with the faces each depth closes) and the
 layout of the face system that the state-sum engine searches and solves
 are cached on the complex too; the engine and the validator read them,
-and no other module walks the tets.
+and no other module walks the tets.  The brute oracle's plan is cached
+there too, one per pair of group orders: its elimination order with each
+step's einsum subscripts, in pure Python; only running it needs numpy.
 
 ``splice`` makes a move's result from its input: it cuts the dropped
 simplices out of the four tables by slices, appends the new ones,
@@ -26,6 +28,8 @@ The other indices of the result are computed on first use.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,6 +77,20 @@ class TetSystem(NamedTuple):
     rows: tuple[int, ...]
     row_e23: tuple[int, ...]
     columns: tuple[tuple[tuple[int, bool, int], ...], ...]
+
+
+class OraclePlan(NamedTuple):
+    """The brute oracle's contraction for one pair of group orders.  The
+    factors are the faces, then the tets, then one per step; each step
+    sums out one variable and is (the factors it merges, their einsum
+    subscripts, the merged factor's subscripts).  ``largest`` is the entry
+    count of the largest table, the face and tet tables included, and
+    ``free`` the factor of the variables in no factor: the edges in no
+    face, |G| each."""
+
+    steps: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
+    largest: int
+    free: int
 
 
 @dataclass(frozen=True)
@@ -275,6 +293,101 @@ class OrderedComplex:
             tuple((row[t], s == 0, 1 if s in (0, 2) else -1) for t, s in inc[f] if t in row)
             for f in self.walk_faces) if places)
         return TetSystem(rows, tuple(self.faces[self.tets[t][3]][2] for t in rows), columns)
+
+    @cached_property
+    def oracle_plans(self) -> dict[tuple[int, int], OraclePlan]:
+        """The oracle plans built so far, keyed by (|G|, |H|)."""
+        return {}
+
+    def oracle_plan(self, g_order: int, h_order: int) -> OraclePlan:
+        """The brute oracle's contraction under groups of these orders,
+        built on first use and cached per pair of orders.
+
+        The variables are the edges (|G| values each), then the faces (|H|
+        values each).  Face f's factor holds (e01, e02, e12, f) and a tet's
+        (f012, f013, f023, f123, e23), in slot order; a variable filling
+        several slots of one factor is a diagonal.  Summing out v merges
+        the factors holding it into one over its neighbours, the other
+        variables they hold, and so joins every pair of those.  The order
+        is weighted min-fill: next the variable whose step joins the
+        fewest pairs not yet joined, each pair (a, b) weighted |a|·|b|,
+        ties broken by the merged factor's entries and variable count and
+        then the variable.  A step changes the neighbourhood of its
+        neighbours alone, so only they are re-keyed; any other variable
+        next to both ends of a newly joined pair only loses that pair."""
+        plan = self.oracle_plans.get((g_order, h_order))
+        if plan is not None:
+            return plan
+        E, F, faces = len(self.edges), len(self.faces), self.faces
+        size = [g_order] * E + [h_order] * F
+        slots = ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(faces)]
+                 + [(*(E + f for f in t), faces[t[3]][2]) for t in self.tets])
+        factors = list(slots)  # each factor's variables, slot by slot
+        # per live variable: the live factors holding it, and its merged
+        # scope, that is, itself and its neighbours
+        holders: dict[int, list[int]] = {}
+        merged: dict[int, set[int]] = {}
+        for i, s in enumerate(slots):
+            for v in dict.fromkeys(s):
+                holders.setdefault(v, []).append(i)
+                merged.setdefault(v, set()).update(s)
+        free = g_order ** (E - sum(v < E for v in merged))
+
+        def entries(scope):
+            return math.prod(map(size.__getitem__, scope))
+
+        def weight(variables):
+            return sum(map(size.__getitem__, variables))
+
+        # the fill of v: the pairs of its neighbours not yet joined, weighted
+        fill = {v: sum([size[a] * weight(m - merged[a]) for a in m]) // 2
+                for v, m in merged.items()}
+        keys = {v: (fill[v], entries(m), len(m), v) for v, m in merged.items()}
+        heap = list(keys.values())
+        heapq.heapify(heap)
+        steps = []
+        # the two tables the factors are read from: one per face, one per tet
+        largest = max(g_order**3 * h_order if F else 0, h_order**4 * g_order if self.tets else 0, 1)
+        while heap:
+            k = heapq.heappop(heap)
+            v = k[3]
+            if keys.get(v) != k:
+                continue  # a stale key
+            del keys[v], fill[v]
+            held, near = holders.pop(v), merged.pop(v)
+            near.discard(v)
+            scope = sorted(near)
+            for u in scope:
+                merged[u].discard(v)
+            # a pair the step joins leaves the fill of each variable next to both
+            changed = set(scope)
+            for a in scope:
+                ma = merged[a]
+                for b in near - ma:
+                    if a < b:
+                        for w in ma & merged[b]:
+                            fill[w] -= size[a] * size[b]
+                            changed.add(w)
+            # a neighbour u loses v, so the pairs (v, x) for x next to u alone,
+            # and meets the rest of the scope, so the pairs (y, x) for y new to u
+            for u in scope:
+                mu = merged[u]
+                alone = mu - near
+                fill[u] += sum([size[y] * weight(alone - merged[y]) for y in near - mu]) \
+                    - size[v] * weight(alone)
+            for u in scope:
+                holders[u] = [i for i in holders[u] if i not in held] + [len(factors)]
+                merged[u] |= near
+            for w in changed:
+                keys[w] = (fill[w], entries(merged[w]), len(merged[w]), w)
+                heapq.heappush(heap, keys[w])
+            label = {x: j for j, x in enumerate((v, *scope))}
+            steps.append((tuple(held), tuple(tuple(label[x] for x in factors[i]) for i in held),
+                          tuple(label[x] for x in scope)))
+            factors.append(scope)
+            largest = max(largest, entries(scope))
+        plan = self.oracle_plans[g_order, h_order] = OraclePlan(tuple(steps), largest, free)
+        return plan
 
     @cached_property
     def simplicial(self) -> bool:

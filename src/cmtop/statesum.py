@@ -23,10 +23,13 @@ the state sum as a network of 0/1 factors, one per face and one per tet,
 and sums it exactly by variable elimination with numpy, lazily imported
 there and nowhere else.  A call builds one face table and one tet table,
 which every factor reads through its own slots, a repeated variable being
-a diagonal that einsum takes.  The elimination order is fixed before any
-table is built and kept current step by step: summing out a variable
-updates only the variables of the factor that step merges.  The size of
-the largest table is budget-gated.
+a diagonal that einsum takes.  The elimination order is weighted min-fill
+(next the variable whose step joins the fewest pairs of variables not yet
+in one factor, each pair weighted by the product of its group orders).
+It depends only on the complex and the two group orders, so it is planned
+once per complex and pair of orders, in pure Python, with each step's
+einsum subscripts, and cached on the complex (``oracle_plan``).  The size
+of the plan's largest table is budget-gated on every call.
 ``invariant`` is the engine for crossed modules, that is, modules with the
 Peiffer identity; it hands any other module to the oracle.  It fixes the
 gauge first: the edges of a spanning forest are pinned to e (the vertex
@@ -74,8 +77,9 @@ alone is built on first use and cached on that instance, so evaluating one
 complex under many modules, or one module on many complexes, builds it
 once.  On the complex (``OrderedComplex``): the spanning forest that is
 pinned, the closing order laid out per depth with the faces each depth
-closes (``closing_plan``), and the rows and columns of the linear system
-for the closed components in tet-walk order (``tet_system``).  On the
+closes (``closing_plan``), the rows and columns of the linear system
+for the closed components in tet-walk order (``tet_system``), and the
+oracle's plan per pair of group orders (``oracle_plan``).  On the
 module (``CrossedModule``): the Peiffer flag that picks the engine,
 ker(bnd), the preimage and coset tables of im(bnd) (``boundary_tables``),
 and the coordinates of A with its relations (``kernel_coordinates``).  A
@@ -209,67 +213,35 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     builds one face table and one tet table over those slots, and every
     factor reads its kind's table with its slots as einsum subscripts: a
     variable filling several slots of one factor is a diagonal, which
-    ``numpy.einsum`` takes.  The variables are summed out one at a time,
-    each time the one whose merged factor is smallest, in an order fixed
-    before any table is built.  Summing out v merges the factors holding it
-    into one over the other variables they hold, so only those variables
-    are updated; a variable in no factor multiplies N by its group's order.
-    Every table entry counts assignments of variables already summed out,
-    so int64 is exact while the coloring space |G|^|K1| * |H|^|K2| is below
-    2^63; a larger space raises BudgetExceededError, and so does a largest
-    table (the face and tet tables included) with more entries than the
-    budget.  The oracle shares only the complex and the group tables with
-    the fast engine, and is the only code in the package that imports numpy.
+    ``numpy.einsum`` takes.  The variables are summed out one at a time in
+    the weighted min-fill order of ``c.oracle_plan(|G|, |H|)``, which is
+    built once per complex and pair of group orders and holds every step's
+    einsum subscripts; summing out v merges the factors holding it into one
+    over the other variables they hold, and a variable in no factor
+    multiplies N by its group's order.  Every table entry counts
+    assignments of variables already summed out, so int64 is exact while
+    the coloring space |G|^|K1| * |H|^|K2| is below 2^63.  A call first
+    refuses a larger space with BudgetExceededError, before any plan is
+    built; then a plan whose largest table (the face and tet tables
+    included) has more entries than the budget; only then builds the face
+    and tet tables and runs the steps.  The oracle shares only the complex
+    and the group tables with the fast engine, and is the only code in the
+    package that imports numpy.
     """
     import numpy as np
 
     budget = _budget(budget)
-    g, h, E, F = cm.g, cm.h, len(c.edges), len(c.faces)
-    sizes = [g.order] * E + [h.order] * F  # variables: the edges, then the faces
-    space = math.prod(sizes)
+    g, h, F = cm.g, cm.h, len(c.faces)
+    space = g.order ** len(c.edges) * h.order ** F
     if space >= 2**63:
         raise BudgetExceededError(
             f"{space} colorings: the oracle's int64 counts are exact only below "
             f"2^63; the fast engine (invariant) counts any module with the "
             f"Peiffer identity")
-    slots = ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(c.faces)]
-             + [(*(E + f for f in t), c.faces[t[3]][2]) for t in c.tets])
-    scopes = [tuple(dict.fromkeys(s)) for s in slots]
-    used = {v for s in scopes for v in s}
-
-    def entries(scope):
-        return math.prod(map(sizes.__getitem__, scope))
-
-    # the order, symbolically: each step merges the live factors holding one
-    # variable into a table over the other variables they hold.  Only the
-    # variables of that table change their merged scope or their holders.
-    holders, merged = {}, {}
-    for i, s in enumerate(scopes):
-        for v in s:
-            holders.setdefault(v, []).append(i)
-            merged.setdefault(v, set()).update(s)
-    key = {v: (entries(m), len(m), v) for v, m in merged.items()}
-    steps = []
-    while key:
-        v = min(key.values())[2]
-        del key[v]
-        held, union = holders.pop(v), merged.pop(v)
-        scope = tuple(sorted(union - {v}))
-        for u in scope:
-            holders[u] = [i for i in holders[u] if i not in held] + [len(scopes)]
-            m = merged[u]
-            m |= union
-            m.discard(v)
-            key[u] = (entries(m), len(m), u)
-        scopes.append(scope)
-        steps.append((held, sorted(union)))
-    # the two tables the factors are read from: one per face, one per tet
-    face_entries = g.order**3 * h.order if F else 0
-    tet_entries = h.order**4 * g.order if c.tets else 0
-    largest = max(face_entries, tet_entries, *map(entries, scopes), 1)
-    if largest > budget:
+    plan = c.oracle_plan(g.order, h.order)
+    if plan.largest > budget:
         raise BudgetExceededError(
-            f"the contraction's largest table has {largest} entries, over the "
+            f"the contraction's largest table has {plan.largest} entries, over the "
             f"budget of {budget}; raise the budget, or for a module with the "
             f"Peiffer identity use the fast engine (invariant)")
 
@@ -284,17 +256,13 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     if c.tets:  # over (h012, h013, h023, h123, g23): h023 (g23 |> h012) h123^-1 h013^-1 = e
         x = np.ix_(hs, hs, hs, hs, gs)
         tet = ht[ht[x[2], act[x[4], x[0]]], ht[hinv[x[3]], hinv[x[1]]]] == 0
-        tables.update(dict.fromkeys(range(F, len(slots)), tet.astype(np.int64)))
-    # a factor's subscripts are its slots: a repeated variable is a diagonal
-    subscripts = slots + scopes[len(slots):]
-    for k, (held, union) in enumerate(steps, start=len(slots)):
-        label = {v: j for j, v in enumerate(union)}
+        tables.update(dict.fromkeys(range(F, F + len(c.tets)), tet.astype(np.int64)))
+    for k, (held, subscripts, out) in enumerate(plan.steps, start=F + len(c.tets)):
         operands = []
-        for i in held:
-            operands += [tables.pop(i), [label[v] for v in subscripts[i]]]
-        tables[k] = np.einsum(*operands, [label[v] for v in subscripts[k]])
-    n = math.prod(int(t) for t in tables.values())
-    n *= math.prod(sizes[v] for v in range(len(sizes)) if v not in used)
+        for i, s in zip(held, subscripts):
+            operands += (tables.pop(i), s)
+        tables[k] = np.einsum(*operands, out)
+    n = math.prod(int(t) for t in tables.values()) * plan.free
     return _result(n, cm, c)
 
 

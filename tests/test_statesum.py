@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -507,16 +509,17 @@ def test_budget_gate_names_the_largest_table():
     assert "78364164096 entries, over the budget of 1000000" in str(err.value)
 
 
-# the oracle's largest table under each module of fixtures.CM_NAMES, in
-# that order, or None where the coloring space is 2^63 or more
+# the largest table of the oracle's min-fill order under each module of
+# fixtures.CM_NAMES, in that order, or None where the coloring space is
+# 2^63 or more
 _LARGEST_TABLE = {
-    "single_tet": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 1024],
-    "s3_boundary_4simplex": [16384, 4782969, 78364164096, 4586471424, 419904, 128, 2187,
-                             279936, 4194304],
+    "single_tet": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 2048],
+    "s3_boundary_4simplex": [16384, 4782969, 78364164096, 4586471424, 139968, 128, 2187,
+                             279936, 1048576],
     "solid_torus": [256, 6561, 1679616, 497664, 1296, 32, 243, 7776, 4096],
     "s2_interval": [256, 6561, None, 331776, 1944, 16, 81, 1296, 8192],
-    "s2_interval_big": [262144, None, None, None, None, 256, 6561, 1679616, None],
-    "two_tet_ball": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 1024],
+    "s2_interval_big": [32768, None, None, None, None, 256, 6561, 1679616, None],
+    "two_tet_ball": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 2048],
     "walk": [None, None, None, None, None, 256, 6561, None, None],
 }
 
@@ -543,6 +546,109 @@ def test_oracle_plan_is_pinned():
                 assert str(err.value).startswith(
                     f"the contraction's largest table has {largest} entries, over the "
                     f"budget of 0;"), (name, cm_name)
+
+
+def _oracle_factors(c):
+    """The oracle's factors, slot by slot: one per face, then one per tet."""
+    E = len(c.edges)
+    return ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(c.faces)]
+            + [(*(E + f for f in t), c.faces[t[3]][2]) for t in c.tets])
+
+
+def _min_fill_by_definition(c, g_order, h_order):
+    """The variables in weighted min-fill order, every key recomputed from
+    the live factors at every step."""
+    size = [g_order] * len(c.edges) + [h_order] * len(c.faces)
+    factors = [set(f) for f in _oracle_factors(c)]
+    left, order = set().union(*factors), []
+    while left:
+        joined = {p for f in factors for p in itertools.combinations(sorted(f), 2)}
+
+        def key(v):
+            near = set().union(*(f for f in factors if v in f))
+            fill = sum(size[a] * size[b] for a, b in itertools.combinations(sorted(near - {v}), 2)
+                       if (a, b) not in joined)
+            return fill, math.prod(size[x] for x in near), len(near), v
+
+        v = min(map(key, left))[3]
+        near = set().union(*(f for f in factors if v in f))
+        factors = [f for f in factors if v not in f] + [near - {v}]
+        left.discard(v)
+        order.append(v)
+    return order
+
+
+def _planned_order(c, plan):
+    """The variables in the order the plan sums them out, read back from its
+    subscripts, checking that each step merges every live factor holding
+    its variable and labels each variable once."""
+    factors = [list(f) for f in _oracle_factors(c)]
+    live, order = set(range(len(factors))), []
+    for held, subscripts, out in plan.steps:
+        var = {}
+        for i, s in zip(held, subscripts):
+            for x, j in zip(factors[i], s):
+                assert var.setdefault(j, x) == x
+        assert len(set(var.values())) == len(var)
+        v = var[0]
+        assert list(held) == sorted(i for i in live if v in factors[i])
+        live = live - set(held) | {len(factors)}
+        factors.append([var[j] for j in out])
+        order.append(v)
+    return order
+
+
+def test_the_oracle_plan_follows_weighted_min_fill():
+    rng = random.Random(3)
+    walk = fixtures.two_tet_ball()
+    for _ in range(15):
+        found = enumerate_applicable(walk, rng.choice(MOVE_KINDS))
+        if found:
+            walk = apply(walk, rng.choice(found))
+    complexes = [*(fixtures.COMPLEXES[name]() for name in _LARGEST_TABLE if name != "walk"), walk]
+    for c in complexes:
+        for orders in ((2, 2), (3, 1), (2, 4), (6, 3)):
+            assert _planned_order(c, c.oracle_plan(*orders)) \
+                == _min_fill_by_definition(c, *orders), (c.counts, orders)
+
+
+def test_the_oracle_plan_is_cached_per_complex_and_pair_of_orders():
+    cm = fixtures.crossed_module("conj_z3")
+    big = fixtures.s3_boundary_4simplex()
+    c = relabel(big, {v: v + 10 for v in big.vertices})  # fresh: nothing cached
+    orders = cm.g.order, cm.h.order
+    first = brute_force_invariant(cm, c)
+    plan = c.oracle_plan(*orders)
+    assert brute_force_invariant(cm, c) == first and c.oracle_plan(*orders) is plan
+    # a mutant with the same group orders reads the same plan
+    mutant = next(_cm_mutations(cm))
+    assert (mutant.g.order, mutant.h.order) == orders
+    brute_force_invariant(mutant, c)
+    assert c.oracle_plans == {orders: plan}
+    # a relabeled complex is a new instance with a plan of its own
+    other = relabel(c, {v: 30 - v for v in c.vertices})
+    assert brute_force_invariant(cm, other) == first
+    assert other.oracle_plan(*orders) is not plan
+    # on a cache hit the budget still gates the largest table
+    with pytest.raises(BudgetExceededError) as err:
+        brute_force_invariant(cm, c, budget=0)
+    assert str(err.value).startswith(
+        "the contraction's largest table has 139968 entries, over the budget of 0;")
+
+
+def test_the_oracle_refuses_a_space_past_int64_before_it_plans(p14_ball):
+    c = replace(p14_ball)  # a new instance, with nothing cached
+    with pytest.raises(BudgetExceededError, match=r"exact only below 2\^63"):
+        brute_force_invariant(fixtures.crossed_module("id_z2"), c)
+    assert "oracle_plans" not in vars(c)
+    # under trivial G and H the space is 1, so the order is planned: 3010
+    # variables, one step each
+    start = time.perf_counter()
+    plan = c.oracle_plan(1, 1)
+    assert time.perf_counter() - start < 10.0
+    assert len(plan.steps) == 3010 and plan.largest == 1
+    assert brute_force_invariant(identity_cm(build_trivial()), c).value == 1
+    assert c.oracle_plans == {(1, 1): plan}
 
 
 def test_invariant_is_bounded_by_default(monkeypatch):
