@@ -28,7 +28,6 @@ The other indices of the result are computed on first use.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -312,9 +311,11 @@ class OrderedComplex:
         is weighted min-fill: next the variable whose step joins the
         fewest pairs not yet joined, each pair (a, b) weighted |a|·|b|,
         ties broken by the merged factor's entries and variable count and
-        then the variable.  A step changes the neighbourhood of its
-        neighbours alone, so only they are re-keyed; any other variable
-        next to both ends of a newly joined pair only loses that pair."""
+        then the variable; the least key is found by a scan of the live
+        keys.  A step changes the neighbourhood of its neighbours alone, so only
+        they are re-keyed; any other variable next to both ends of a newly
+        joined pair only loses that pair.  The factors a step merges are
+        found by a scan of the live factors."""
         plan = self.oracle_plans.get((g_order, h_order))
         if plan is not None:
             return plan
@@ -322,14 +323,11 @@ class OrderedComplex:
         size = [g_order] * E + [h_order] * F
         slots = ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(faces)]
                  + [(*(E + f for f in t), faces[t[3]][2]) for t in self.tets])
-        factors = list(slots)  # each factor's variables, slot by slot
-        # per live variable: the live factors holding it, and its merged
-        # scope, that is, itself and its neighbours
-        holders: dict[int, list[int]] = {}
+        live = dict(enumerate(slots))  # each live factor's variables, slot by slot
+        # per live variable: its merged scope, that is, itself and its neighbours
         merged: dict[int, set[int]] = {}
-        for i, s in enumerate(slots):
-            for v in dict.fromkeys(s):
-                holders.setdefault(v, []).append(i)
+        for s in slots:
+            for v in s:
                 merged.setdefault(v, set()).update(s)
         free = g_order ** (E - sum(v < E for v in merged))
 
@@ -343,18 +341,13 @@ class OrderedComplex:
         fill = {v: sum([size[a] * weight(m - merged[a]) for a in m]) // 2
                 for v, m in merged.items()}
         keys = {v: (fill[v], entries(m), len(m), v) for v, m in merged.items()}
-        heap = list(keys.values())
-        heapq.heapify(heap)
         steps = []
         # the two tables the factors are read from: one per face, one per tet
         largest = max(g_order**3 * h_order if F else 0, h_order**4 * g_order if self.tets else 0, 1)
-        while heap:
-            k = heapq.heappop(heap)
-            v = k[3]
-            if keys.get(v) != k:
-                continue  # a stale key
+        while keys:
+            v = min(keys.values())[3]
             del keys[v], fill[v]
-            held, near = holders.pop(v), merged.pop(v)
+            near = merged.pop(v)
             near.discard(v)
             scope = sorted(near)
             for u in scope:
@@ -376,15 +369,14 @@ class OrderedComplex:
                 fill[u] += sum([size[y] * weight(alone - merged[y]) for y in near - mu]) \
                     - size[v] * weight(alone)
             for u in scope:
-                holders[u] = [i for i in holders[u] if i not in held] + [len(factors)]
                 merged[u] |= near
             for w in changed:
                 keys[w] = (fill[w], entries(merged[w]), len(merged[w]), w)
-                heapq.heappush(heap, keys[w])
+            held = tuple(i for i, s in live.items() if v in s)
             label = {x: j for j, x in enumerate((v, *scope))}
-            steps.append((tuple(held), tuple(tuple(label[x] for x in factors[i]) for i in held),
+            steps.append((held, tuple(tuple(label[x] for x in live.pop(i)) for i in held),
                           tuple(label[x] for x in scope)))
-            factors.append(scope)
+            live[len(slots) + len(steps) - 1] = scope
             largest = max(largest, entries(scope))
         plan = self.oracle_plans[g_order, h_order] = OraclePlan(tuple(steps), largest, free)
         return plan
@@ -415,19 +407,15 @@ class OrderedComplex:
         return tuple(map(tuple, out))
 
     @cached_property
-    def vertex_stars(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """For each vertex, the tets, the edges and the faces it is a corner
-        of, each in index order.  A simplex with a corner repeated (a loop,
-        say) is listed once: its repeats meet it at the end of the list."""
-        stars: dict[int, tuple[list[int], ...]] = {v: ([], [], []) for v in self.vertices}
-        for i, simplices in enumerate((self.tet_locals, self.edges, self.face_locals)):
-            lists = {v: star[i] for v, star in stars.items()}
-            for s, corners in enumerate(simplices):
-                for v in corners:
-                    at = lists[v]
-                    if not at or at[-1] != s:
-                        at.append(s)
-        return {v: tuple(map(tuple, star)) for v, star in stars.items()}
+    def vertex_edges(self) -> dict[int, tuple[int, ...]]:
+        """For each vertex, the edges it is an end of, in index order; a
+        loop is listed once."""
+        out: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for e, (t, h) in enumerate(self.edges):
+            out[t].append(e)
+            if h != t:
+                out[h].append(e)
+        return {v: tuple(edges) for v, edges in out.items()}
 
     def euler_characteristic(self) -> int:
         c = self.counts

@@ -221,37 +221,22 @@ def _generators(t: Table) -> tuple[list[int], list[tuple[int, int, int]]]:
 def automorphisms(h: FiniteGroup) -> list[tuple[int, ...]]:
     """All table-preserving bijections of h, sorted lexicographically.
 
-    Backtracks over images of a generating set; candidates for a generator
-    are restricted to elements of equal order.  A candidate extends to at
-    most one map, along the steps that reach every element.
+    Tries every image of a generating set; candidates for a generator are
+    restricted to elements of equal order.  A choice of images extends to
+    at most one map, along the steps that reach every element.
     """
     gens, steps = _generators(h.table)
-    if not gens:  # trivial group
-        return [(0,)]
-    orders = [h.element_order(a) for a in range(h.order)]
     by_order: dict[int, list[int]] = {}
     for a in range(h.order):
-        by_order.setdefault(orders[a], []).append(a)
-
+        by_order.setdefault(h.element_order(a), []).append(a)
     found: list[tuple[int, ...]] = []
-
-    def extend(pos: int, images: list[int]) -> None:
-        if pos == len(gens):
-            m = [0] * h.order
-            for a, i, b in steps:
-                m[b] = h.mul(m[a], images[i])
-            if len(set(m)) != h.order:
-                return
-            for a in range(h.order):
-                for b in range(h.order):
-                    if m[h.mul(a, b)] != h.mul(m[a], m[b]):
-                        return
+    for images in itertools.product(*(by_order[h.element_order(g)] for g in gens)):
+        m = [0] * h.order
+        for a, i, b in steps:
+            m[b] = h.mul(m[a], images[i])
+        if len(set(m)) == h.order and all(m[h.mul(a, b)] == h.mul(m[a], m[b])
+                                          for a in range(h.order) for b in range(h.order)):
             found.append(tuple(m))
-            return
-        for cand in by_order[orders[gens[pos]]]:
-            extend(pos + 1, images + [cand])
-
-    extend(0, [])
     found.sort()
     return found
 

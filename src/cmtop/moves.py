@@ -310,9 +310,13 @@ def _check_uncone(c: OrderedComplex, m: MoveDescriptor):
     boundary faces at v, each rim edge lying between two spokes."""
     v, kind = m.target, m.kind
     star_tets = 4 if kind == "P41" else 3
-    if v not in c.vertex_stars:
+    if v not in c.vertex_edges:
         raise MoveError(f"no vertex {v}")
-    tets, edges, faces = c.vertex_stars[v]
+    # the star: a face has v as a corner when one of its edges ends at v,
+    # and a tet when one of its faces does
+    edges = c.vertex_edges[v]
+    faces = sorted({f for e in edges for f in c.edge_faces[e]})
+    tets = sorted({t for f in faces for t, _ in c.face_incidence[f]})
     if (len(tets), len(edges), len(faces)) != (star_tets, 4, 6):
         raise MoveError(
             f"vertex {v} has star ({len(tets)} tets, {len(edges)} edges, "

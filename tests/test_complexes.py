@@ -18,7 +18,8 @@ from cmtop.complexes import (
     relabel,
     validate_manifold_basics,
 )
-from cmtop.moves import MOVE_KINDS, MoveDescriptor, apply, enumerate_applicable
+from cmtop.moves import (
+    MOVE_KINDS, MoveDescriptor, MoveError, _check_uncone, apply, enumerate_applicable)
 
 
 def single_tet():
@@ -504,18 +505,25 @@ def test_closing_order_branch_rule_from_scratch():
 
 
 def test_vertex_stars_list_a_simplex_once_whatever_its_repeated_corners():
-    # solid_torus has loops, faces and tets with a corner twice: each is
-    # listed once in that vertex's star, as a set of corners would give
+    # solid_torus has a loop, edge 3 at vertex 1: it is listed once
     torus = fixtures.solid_torus()
     assert torus.edges[3] == (1, 1) and torus.tet_locals[0] == (1, 2, 3, 3)
-    assert torus.vertex_stars == {1: ((0, 1, 2), (0, 1, 3, 6, 7), (0, 1, 2, 3, 6, 7, 8)),
-                                  2: ((0, 1, 2), (0, 2, 4, 6, 8), (0, 1, 4, 5, 6, 7, 8)),
-                                  3: ((0, 1, 2), (1, 2, 5, 7, 8), (2, 3, 4, 5, 6, 7, 8))}
+    assert torus.vertex_edges == {1: (0, 1, 3, 6, 7), 2: (0, 2, 4, 6, 8), 3: (1, 2, 5, 7, 8)}
+    # the star that P41 and B31 compose from a vertex's edges is the set of
+    # simplices with v as a corner, each listed once in index order
     for c, _ in _walk_cases():
-        assert c.vertex_stars == {
-            v: tuple(tuple(s for s, corners in enumerate(table) if v in set(corners))
-                     for table in (c.tet_locals, c.edges, c.face_locals))
-            for v in c.vertices}
+        for v in c.vertices:
+            star = tuple(tuple(s for s, corners in enumerate(table) if v in corners)
+                         for table in (c.tet_locals, c.edges, c.face_locals))
+            faces = sorted({f for e in c.vertex_edges[v] for f in c.edge_faces[e]})
+            tets = sorted({t for f in faces for t, _ in c.face_incidence[f]})
+            assert (tuple(tets), c.vertex_edges[v], tuple(faces)) == star
+            for kind in ("P41", "B31"):
+                try:
+                    _, tets, edges, faces, _, _ = _check_uncone(c, MoveDescriptor(kind, v))
+                except MoveError:
+                    continue
+                assert (tuple(tets), edges, tuple(faces)) == star
 
 
 @pytest.mark.parametrize("table, n, drop, renamed", [

@@ -433,6 +433,22 @@ def test_uncone_cuts_a_scattered_star(start, cone, uncone, cut):
     assert are_isomorphic(out, c0)
 
 
+def test_uncone_counts_a_stray_edge_or_face_at_the_vertex():
+    # P14's new vertex 5 with one more simplex at it that no tet holds: an
+    # edge to a new vertex, or a second face on spokes (1, 5), (2, 5) and
+    # base edge (1, 2).  Either is in the star, so P41 refuses it
+    c = apply(fixtures.single_tet(), MoveDescriptor("P14", 0))
+    assert c.edges[0] == (1, 2) and c.edges[6:8] == ((1, 5), (2, 5))
+    assert are_isomorphic(apply(c, MoveDescriptor("P41", 5)), fixtures.single_tet())
+    stray_edge = OrderedComplex(c.vertices + (6,), c.edges + ((5, 6),), c.faces, c.tets)
+    stray_face = OrderedComplex(c.vertices, c.edges, c.faces + ((0, 6, 7),), c.tets)
+    for stray, star in ((stray_edge, "(4 tets, 5 edges, 6 faces)"),
+                        (stray_face, "(4 tets, 4 edges, 7 faces)")):
+        with pytest.raises(MoveError) as err:
+            apply(stray, MoveDescriptor("P41", 5))
+        assert str(err.value) == f"vertex 5 has star {star}; P41 needs (4, 4, 6)"
+
+
 def test_b22_renumbers_faces_and_tets():
     # B22 cuts one edge, three faces and two tets and adds as many; the
     # B22 on its new edge, the last one, flips back

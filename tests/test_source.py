@@ -105,11 +105,9 @@ def test_unread_imports_are_found():
 
 
 def test_no_function_calls_itself():
-    # the stack depth of the one exception is the number of generators of
-    # a group H, at most log2 |H|
     calls = [(path.name, name) for path in SOURCES
              for _, name in self_calls(ast.parse(path.read_text(), str(path)))]
-    assert calls == [("groups.py", "extend")]
+    assert calls == []
 
 
 def test_self_calls_are_found():
