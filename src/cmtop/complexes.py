@@ -17,7 +17,9 @@ layout of the face system that the state-sum engine searches and solves
 are cached on the complex too; the engine and the validator read them,
 and no other module walks the tets.  The brute oracle's plan is cached
 there too, one per pair of group orders: its elimination order with each
-step's einsum subscripts, in pure Python; only running it needs numpy.
+step's einsum subscripts, in pure Python (a step sums out a variable and
+the next ones that lie only in its merged factor); only running it needs
+numpy.
 
 ``splice`` makes a move's result from its input: it cuts the dropped
 simplices out of the four tables by slices, appends the new ones,
@@ -81,11 +83,12 @@ class TetSystem(NamedTuple):
 class OraclePlan(NamedTuple):
     """The brute oracle's contraction for one pair of group orders.  The
     factors are the faces, then the tets, then one per step; each step
-    sums out one variable and is (the factors it merges, their einsum
-    subscripts, the merged factor's subscripts).  ``largest`` is the entry
-    count of the largest table, the face and tet tables included, and
-    ``free`` the factor of the variables in no factor: the edges in no
-    face, |G| each."""
+    sums out one or more variables and is (the factors it merges, their
+    einsum subscripts, the merged factor's subscripts).  ``largest`` is the
+    most entries of the face table, the tet table and each variable's
+    merged factor, a variable summed out inside a step included; ``free``
+    is the factor of the variables in no factor: the edges in no face,
+    |G| each."""
 
     steps: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
     largest: int
@@ -315,7 +318,10 @@ class OrderedComplex:
         keys.  A step changes the neighbourhood of its neighbours alone, so only
         they are re-keyed; any other variable next to both ends of a newly
         joined pair only loses that pair.  The factors a step merges are
-        found by a scan of the live factors."""
+        found by a scan of the live factors.  A variable that lies only
+        in the factor the step before it made is summed out in that step,
+        by dropping it from the step's output subscripts, so the order is
+        the same and one einsum sums out a consecutive run of it."""
         plan = self.oracle_plans.get((g_order, h_order))
         if plan is not None:
             return plan
@@ -341,7 +347,7 @@ class OrderedComplex:
         fill = {v: sum([size[a] * weight(m - merged[a]) for a in m]) // 2
                 for v, m in merged.items()}
         keys = {v: (fill[v], entries(m), len(m), v) for v, m in merged.items()}
-        steps = []
+        steps, made = [], -1  # made: the id of the factor the last step made
         # the two tables the factors are read from: one per face, one per tet
         largest = max(g_order**3 * h_order if F else 0, h_order**4 * g_order if self.tets else 0, 1)
         while keys:
@@ -373,10 +379,14 @@ class OrderedComplex:
             for w in changed:
                 keys[w] = (fill[w], entries(merged[w]), len(merged[w]), w)
             held = tuple(i for i, s in live.items() if v in s)
-            label = {x: j for j, x in enumerate((v, *scope))}
-            steps.append((held, tuple(tuple(label[x] for x in live.pop(i)) for i in held),
-                          tuple(label[x] for x in scope)))
-            live[len(slots) + len(steps) - 1] = scope
+            if held == (made,):  # v is only in the last step's factor: sum it out there
+                steps[-1] = (*steps[-1][:2], tuple(label[x] for x in scope))
+            else:
+                label = {x: j for j, x in enumerate((v, *scope))}
+                steps.append((held, tuple(tuple(label[x] for x in live.pop(i)) for i in held),
+                              tuple(label[x] for x in scope)))
+                made = len(slots) + len(steps) - 1
+            live[made] = scope
             largest = max(largest, entries(scope))
         plan = self.oracle_plans[g_order, h_order] = OraclePlan(tuple(steps), largest, free)
         return plan

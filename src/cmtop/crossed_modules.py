@@ -21,7 +21,8 @@ The action is stored as a tuple of int tuples, like the group tables, so a
 crossed module is immutable and compares and hashes by value.  What the
 state-sum engine reads of a module alone (the Peiffer flag, the boundary
 tables and the kernel's coordinates) is derived on first use and cached on
-the instance, so a module evaluated on many complexes builds it once.
+the instance, so a module evaluated on many complexes builds it once; so
+are the brute oracle's face and tet tables, one pair per integer type.
 """
 
 from __future__ import annotations
@@ -150,6 +151,13 @@ class CrossedModule:
                      for y, v in coord.items() for i, p in enumerate(powers)}
             gens.append(a)
         return KernelCoordinates(d, tuple(gens), coord, tuple(rels))
+
+    @cached_property
+    def oracle_tables(self) -> dict:
+        """The brute oracle's face and tet 0/1 tables built so far, keyed by
+        (kind, dtype name) and read-only; ``statesum`` fills it, so that
+        numpy is imported there alone."""
+        return {}
 
     def __repr__(self) -> str:
         return f"CrossedModule({self.name!r}, |H|={self.h.order}, |G|={self.g.order})"

@@ -21,15 +21,21 @@ rational arithmetic; both engines return that factored form.
 Two engines compute N.  ``brute_force_invariant`` is the oracle: it reads
 the state sum as a network of 0/1 factors, one per face and one per tet,
 and sums it exactly by variable elimination with numpy, lazily imported
-there and nowhere else.  A call builds one face table and one tet table,
-which every factor reads through its own slots, a repeated variable being
-a diagonal that einsum takes.  The elimination order is weighted min-fill
-(next the variable whose step joins the fewest pairs of variables not yet
-in one factor, each pair weighted by the product of its group orders).
-It depends only on the complex and the two group orders, so it is planned
-once per complex and pair of orders, in pure Python, with each step's
-einsum subscripts, and cached on the complex (``oracle_plan``).  The size
-of the plan's largest table is budget-gated on every call.
+there and nowhere else.  Every factor reads one face table or one tet
+table through its own slots, a repeated variable being a diagonal that
+einsum takes; the two tables depend on the module alone, so they are
+built once per module and integer type and cached on it, read-only.  The
+elimination order is weighted min-fill (next the variable whose step
+joins the fewest pairs of variables not yet in one factor, each pair
+weighted by the product of its group orders).  It depends only on the
+complex and the two group orders, so it is planned once per complex and
+pair of orders, in pure Python, with each step's einsum subscripts, and
+cached on the complex (``oracle_plan``); a variable that lies only in the
+factor the step before it made is summed out in that step's einsum.  The
+size of the plan's largest table is budget-gated on every call.  Every
+entry counts colorings of the variables summed out, so it is at most the
+coloring space: the tables are int32 below 2^31 colorings and int64
+below 2^63, and a larger space is refused.
 ``invariant`` is the engine for crossed modules, that is, modules with the
 Peiffer identity; it hands any other module to the oracle.  It fixes the
 gauge first: the edges of a spanning forest are pinned to e (the vertex
@@ -82,7 +88,8 @@ for the closed components in tet-walk order (``tet_system``), and the
 oracle's plan per pair of group orders (``oracle_plan``).  On the
 module (``CrossedModule``): the Peiffer flag that picks the engine,
 ker(bnd), the preimage and coset tables of im(bnd) (``boundary_tables``),
-and the coordinates of A with its relations (``kernel_coordinates``).  A
+the coordinates of A with its relations (``kernel_coordinates``), and the
+oracle's face and tet tables per integer type (``oracle_tables``).  A
 budget is 0 or more; ``None`` reads ``CMTOP_BUDGET``.
 """
 
@@ -209,24 +216,35 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
 
     N sums, over every coloring, a product of 0/1 factors: one per face over
     (e01, e02, e12, h_f), 1 when its holonomy is e, and one per tet over
-    (h012, h013, h023, h123, e23), 1 when its obstruction is e.  Each call
-    builds one face table and one tet table over those slots, and every
-    factor reads its kind's table with its slots as einsum subscripts: a
-    variable filling several slots of one factor is a diagonal, which
-    ``numpy.einsum`` takes.  The variables are summed out one at a time in
-    the weighted min-fill order of ``c.oracle_plan(|G|, |H|)``, which is
-    built once per complex and pair of group orders and holds every step's
-    einsum subscripts; summing out v merges the factors holding it into one
-    over the other variables they hold, and a variable in no factor
-    multiplies N by its group's order.  Every table entry counts
-    assignments of variables already summed out, so int64 is exact while
-    the coloring space |G|^|K1| * |H|^|K2| is below 2^63.  A call first
-    refuses a larger space with BudgetExceededError, before any plan is
-    built; then a plan whose largest table (the face and tet tables
-    included) has more entries than the budget; only then builds the face
-    and tet tables and runs the steps.  The oracle shares only the complex
-    and the group tables with the fast engine, and is the only code in the
-    package that imports numpy.
+    (h012, h013, h023, h123, e23), 1 when its obstruction is e.  They are
+    read from one face table and one tet table over those slots, built
+    once per module and integer type, read-only and cached on the module
+    (``_module_table``); every factor reads its kind's table with its slots
+    as einsum subscripts, a variable filling several slots of one factor
+    being a diagonal, which ``numpy.einsum`` takes.  The variables are
+    summed out in the weighted min-fill order of ``c.oracle_plan(|G|, |H|)``,
+    which is built once per complex and pair of group orders and holds
+    every step's einsum subscripts; a step merges the factors holding its
+    first variable into one over the other variables they hold, and sums
+    out with it the next variables of the order that lie in that merged
+    factor alone, so one einsum call sums out one or more variables.  A
+    variable in no factor multiplies N by its group's order.
+
+    The counts are exact in the narrowest type the space allows.  A table
+    over the variables X that has absorbed the summed-out variables Y
+    holds, at each value of X, the number of values of Y that make its
+    absorbed factors 1; every partial sum inside einsum counts a subset of
+    those values.  So each is at most the product of Y's group orders, and
+    at most the coloring space |G|^|K1| * |H|^|K2|: int32 is exact while
+    the space is below 2^31, and int64 while it is below 2^63.  N is the
+    product of the last tables, taken in Python ints.
+
+    A call first refuses a space of 2^63 or more with BudgetExceededError,
+    before any plan is built; then a plan whose largest table (the face and
+    tet tables included) has more entries than the budget; only then runs
+    the steps.  The oracle shares only the complex and the group tables
+    with the fast engine, and is the only code in the package that imports
+    numpy.
     """
     import numpy as np
 
@@ -245,18 +263,12 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
             f"budget of {budget}; raise the budget, or for a module with the "
             f"Peiffer identity use the fast engine (invariant)")
 
-    gt, ginv, ht, hinv, act, bnd = (
-        np.asarray(x) for x in (g.table, g.inverses, h.table, h.inverses,
-                                cm.action, cm.boundary.map))
-    gs, hs, tables = np.arange(g.order), np.arange(h.order), {}
-    if F:  # over (g01, g02, g12, h_f): bnd(h_f) = g02 g01^-1 g12^-1
-        x = np.ix_(gs, gs, gs, hs)
-        face = gt[gt[x[1], ginv[x[0]]], ginv[x[2]]] == bnd[x[3]]
-        tables.update(dict.fromkeys(range(F), face.astype(np.int64)))
-    if c.tets:  # over (h012, h013, h023, h123, g23): h023 (g23 |> h012) h123^-1 h013^-1 = e
-        x = np.ix_(hs, hs, hs, hs, gs)
-        tet = ht[ht[x[2], act[x[4], x[0]]], ht[hinv[x[3]], hinv[x[1]]]] == 0
-        tables.update(dict.fromkeys(range(F, F + len(c.tets)), tet.astype(np.int64)))
+    dtype = "int32" if space < 2**31 else "int64"
+    tables = {}
+    if F:
+        tables.update(dict.fromkeys(range(F), _module_table(cm, "face", dtype)))
+    if c.tets:
+        tables.update(dict.fromkeys(range(F, F + len(c.tets)), _module_table(cm, "tet", dtype)))
     for k, (held, subscripts, out) in enumerate(plan.steps, start=F + len(c.tets)):
         operands = []
         for i, s in zip(held, subscripts):
@@ -264,6 +276,29 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
         tables[k] = np.einsum(*operands, out)
     n = math.prod(int(t) for t in tables.values()) * plan.free
     return _result(n, cm, c)
+
+
+def _module_table(cm: CrossedModule, kind: str, dtype: str):
+    """The oracle's "face" or "tet" 0/1 table of ``cm`` in ``dtype``, built
+    on first use and cached, read-only, in ``cm.oracle_tables``."""
+    table = cm.oracle_tables.get((kind, dtype))
+    if table is None:
+        import numpy as np
+
+        g, h = cm.g, cm.h
+        gt, ginv, ht, hinv, act, bnd = (
+            np.asarray(x) for x in (g.table, g.inverses, h.table, h.inverses,
+                                    cm.action, cm.boundary.map))
+        gs, hs = np.arange(g.order), np.arange(h.order)
+        if kind == "face":  # over (g01, g02, g12, h_f): bnd(h_f) = g02 g01^-1 g12^-1
+            x = np.ix_(gs, gs, gs, hs)
+            table = gt[gt[x[1], ginv[x[0]]], ginv[x[2]]] == bnd[x[3]]
+        else:  # over (h012, h013, h023, h123, g23): h023 (g23 |> h012) h123^-1 h013^-1 = e
+            x = np.ix_(hs, hs, hs, hs, gs)
+            table = ht[ht[x[2], act[x[4], x[0]]], ht[hinv[x[3]], hinv[x[1]]]] == 0
+        table = cm.oracle_tables[kind, dtype] = table.astype(dtype)
+        table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

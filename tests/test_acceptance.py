@@ -1,6 +1,9 @@
 """Acceptance suite: each criterion runs at its stated tolerance (exact
 equality everywhere; time limits as specified) and prints one line."""
 
+from fractions import Fraction
+from types import SimpleNamespace
+
 from cmtop import fixtures, selftest
 from cmtop.moves import MOVE_DELTAS, apply, enumerate_applicable
 
@@ -79,3 +82,16 @@ def test_criterion_09_consistency_identity():
 
 def test_criterion_10_mutation_validation():
     _run(_criterion(10))
+
+
+def test_closed_form_details_hold_no_timing_and_keep_the_per_call_limit():
+    # the details of criteria 1-3 are the same on every run
+    for number in (1, 2, 3):
+        details = _criterion(number).details
+        assert details.endswith(f"for all {len(fixtures.CM_NAMES)} crossed modules"), details
+    # a call at or past its limit still fails the criterion
+    one = Fraction(1)
+    passed, details, _ = selftest._closed_form(
+        fixtures.single_tet(), lambda cm: one, (lambda cm, c: SimpleNamespace(value=one),),
+        0.0, "claim")
+    assert not passed and details == f"{fixtures.CM_NAMES[0]}: took 0.0s (limit 0s)"

@@ -579,9 +579,10 @@ def _min_fill_by_definition(c, g_order, h_order):
 
 
 def _planned_order(c, plan):
-    """The variables in the order the plan sums them out, read back from its
-    subscripts, checking that each step merges every live factor holding
-    its variable and labels each variable once."""
+    """The sets of variables the plan's steps sum out, in step order, read
+    back from its subscripts, checking that each step merges every live
+    factor holding its first variable, labels each variable once, and sums
+    out only variables that no live factor holds afterwards."""
     factors = [list(f) for f in _oracle_factors(c)]
     live, order = set(range(len(factors))), []
     for held, subscripts, out in plan.steps:
@@ -590,26 +591,49 @@ def _planned_order(c, plan):
             for x, j in zip(factors[i], s):
                 assert var.setdefault(j, x) == x
         assert len(set(var.values())) == len(var)
-        v = var[0]
-        assert list(held) == sorted(i for i in live if v in factors[i])
+        assert list(held) == sorted(i for i in live if var[0] in factors[i])
         live = live - set(held) | {len(factors)}
         factors.append([var[j] for j in out])
-        order.append(v)
+        gone = set(var.values()) - set(factors[-1])
+        assert var[0] in gone and not any(x in factors[i] for i in live for x in gone)
+        order.append(gone)
     return order
 
 
-def test_the_oracle_plan_follows_weighted_min_fill():
+def _oracle_plan_cases():
+    """The six valid fixtures and the complex of a seeded 15-move walk."""
     rng = random.Random(3)
     walk = fixtures.two_tet_ball()
     for _ in range(15):
         found = enumerate_applicable(walk, rng.choice(MOVE_KINDS))
         if found:
             walk = apply(walk, rng.choice(found))
-    complexes = [*(fixtures.COMPLEXES[name]() for name in _LARGEST_TABLE if name != "walk"), walk]
-    for c in complexes:
+    return [*(fixtures.COMPLEXES[name]() for name in _LARGEST_TABLE if name != "walk"), walk]
+
+
+def test_the_oracle_plan_follows_weighted_min_fill():
+    # each step sums out one consecutive run of the min-fill order
+    for c in _oracle_plan_cases():
         for orders in ((2, 2), (3, 1), (2, 4), (6, 3)):
-            assert _planned_order(c, c.oracle_plan(*orders)) \
-                == _min_fill_by_definition(c, *orders), (c.counts, orders)
+            steps = _planned_order(c, c.oracle_plan(*orders))
+            order = iter(_min_fill_by_definition(c, *orders))
+            assert steps == [set(itertools.islice(order, len(s))) for s in steps], \
+                (c.counts, orders)
+            assert next(order, None) is None
+
+
+def test_no_oracle_step_holds_only_the_factor_the_step_before_made():
+    # such a step's variables are summed out by the step before, and each
+    # variable of a factor is summed out exactly once
+    for c in _oracle_plan_cases():
+        factors = _oracle_factors(c)
+        for orders in ((2, 2), (3, 1), (2, 4), (6, 3), (1, 1)):
+            plan = c.oracle_plan(*orders)
+            for k, (held, _, _) in enumerate(plan.steps[1:], start=len(factors)):
+                assert held != (k,), (c.counts, orders, k)
+            gone = _planned_order(c, plan)
+            assert sum(map(len, gone)) == len(set().union(*gone)) \
+                == len(set().union(*map(set, factors)))
 
 
 def test_the_oracle_plan_is_cached_per_complex_and_pair_of_orders():
@@ -636,17 +660,52 @@ def test_the_oracle_plan_is_cached_per_complex_and_pair_of_orders():
         "the contraction's largest table has 139968 entries, over the budget of 0;")
 
 
+def test_a_second_oracle_call_reads_the_module_tables_of_the_first(monkeypatch):
+    import numpy as np
+
+    cm = replace(fixtures.crossed_module("conj_z3"))  # a new instance, with nothing cached
+    c = fixtures.s3_boundary_4simplex()
+    first = brute_force_invariant(cm, c)
+    tables = dict(cm.oracle_tables)
+    assert set(tables) == {("face", "int32"), ("tet", "int32")}
+    for table in tables.values():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 2
+    calls = []
+    real_ix = np.ix_
+    monkeypatch.setattr(np, "ix_", lambda *a: calls.append(a) or real_ix(*a))
+    assert brute_force_invariant(cm, c) == first
+    assert calls == [] and len(cm.oracle_tables) == 2
+    assert all(cm.oracle_tables[key] is table for key, table in tables.items())
+
+
+def test_the_oracle_counts_in_int32_below_2_to_the_31():
+    c = fixtures.s3_boundary_4simplex()
+    # 6^10 colorings: int32 alone
+    cm = replace(fixtures.crossed_module("conj_z3"))
+    assert cm.g.order ** len(c.edges) * cm.h.order ** len(c.faces) < 2**31
+    assert brute_force_invariant(cm, c) == invariant(cm, c)
+    assert set(cm.oracle_tables) == {("face", "int32"), ("tet", "int32")}
+    # 3^20 colorings: int64 alone
+    cm = replace(fixtures.crossed_module("id_z3"))
+    assert 2**31 <= cm.g.order ** len(c.edges) * cm.h.order ** len(c.faces) < 2**63
+    assert brute_force_invariant(cm, c) == invariant(cm, c)
+    assert set(cm.oracle_tables) == {("face", "int64"), ("tet", "int64")}
+
+
 def test_the_oracle_refuses_a_space_past_int64_before_it_plans(p14_ball):
     c = replace(p14_ball)  # a new instance, with nothing cached
     with pytest.raises(BudgetExceededError, match=r"exact only below 2\^63"):
         brute_force_invariant(fixtures.crossed_module("id_z2"), c)
     assert "oracle_plans" not in vars(c)
     # under trivial G and H the space is 1, so the order is planned: 3010
-    # variables, one step each
+    # variables summed out, in 1437 steps
     start = time.perf_counter()
     plan = c.oracle_plan(1, 1)
     assert time.perf_counter() - start < 10.0
-    assert len(plan.steps) == 3010 and plan.largest == 1
+    summed = sum(len({j for s in subscripts for j in s}) - len(out)
+                 for _, subscripts, out in plan.steps)
+    assert summed == 3010 and len(plan.steps) == 1437 and plan.largest == 1
     assert brute_force_invariant(identity_cm(build_trivial()), c).value == 1
     assert c.oracle_plans == {(1, 1): plan}
 
