@@ -11,15 +11,10 @@ the fixtures for D²×S¹ and S²×[0,1] need them.
 
 Local vertex order of a simplex is carried by its slot structure, never
 recomputed from vertex ids, so identified vertices are harmless.  The tet
-walk, the spanning forest, the closing plan (the edges off the forest in
-closing order, one per depth, with the faces each depth closes) and the
-layout of the face system that the state-sum engine searches and solves
-are cached on the complex too; the engine and the validator read them,
-and no other module walks the tets.  The brute oracle's plan is cached
-there too, one per pair of group orders: its elimination order with each
-step's einsum subscripts, in pure Python (a step sums out a variable and
-the next ones that lie only in its merged factor); only running it needs
-numpy.
+walk and the spanning forest are cached on the complex too; the state sum,
+the validator and ``are_isomorphic`` read them, and no other module walks
+the tets.  ``statesum`` builds its plans from them and caches them in
+``plans``.
 
 ``splice`` makes a move's result from its input: it cuts the dropped
 simplices out of the four tables by slices, appends the new ones,
@@ -30,12 +25,10 @@ The other indices of the result are computed on first use.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "OrderedComplex",
@@ -59,42 +52,6 @@ class ComplexStructureError(ValueError):
     """Slot tables are inconsistent (not a Δ-complex at all)."""
 
 
-class ClosingPlan(NamedTuple):
-    """The closing order per depth: the edge set there, the face that
-    forces it and the slot it fills in that face (-1 and -1 for a branch
-    edge), and the faces whose last edge it is."""
-
-    steps: tuple[tuple[int, int, int], ...]
-    faces_done_at: tuple[tuple[int, ...], ...]
-
-
-class TetSystem(NamedTuple):
-    """The layout of the tet equations that a leaf must solve: one row per
-    tet of a closed walk component (one holding no boundary face), those
-    tets in reverse walk order, each row's (23) edge, and per face with a
-    place in those rows, in walk order, its places there as (row, slot is
-    0, sign), sign +1 for slots 0 and 2 and -1 for slots 1 and 3."""
-
-    rows: tuple[int, ...]
-    row_e23: tuple[int, ...]
-    columns: tuple[tuple[tuple[int, bool, int], ...], ...]
-
-
-class OraclePlan(NamedTuple):
-    """The brute oracle's contraction for one pair of group orders.  The
-    factors are the faces, then the tets, then one per step; each step
-    sums out one or more variables and is (the factors it merges, their
-    einsum subscripts, the merged factor's subscripts).  ``largest`` is the
-    most entries of the face table, the tet table and each variable's
-    merged factor, a variable summed out inside a step included; ``free``
-    is the factor of the variables in no factor: the edges in no face,
-    |G| each."""
-
-    steps: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
-    largest: int
-    free: int
-
-
 @dataclass(frozen=True)
 class SimplexCounts:
     k0: int
@@ -113,8 +70,9 @@ class OrderedComplex:
     The four slot tables are the whole complex; every index below is
     derived from them on first use, except that ``splice`` hands a move's
     result the corner tables ``face_locals`` and ``tet_locals``, cut from
-    its input's.  Constructing one directly checks nothing: callers either
-    hold tables that satisfy the slot rules or go through ComplexBuilder."""
+    its input's, and that ``statesum`` alone fills ``plans``.  Constructing
+    one directly checks nothing: callers either hold tables that satisfy
+    the slot rules or go through ComplexBuilder."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -219,177 +177,11 @@ class OrderedComplex:
         return tuple(forest)
 
     @cached_property
-    def closing_plan(self) -> ClosingPlan:
-        """The closing order of the edges off the spanning forest, laid out
-        per depth for the state-sum search: each edge with the face that
-        forces it and the slot it fills there, or -1 and -1 for a branch
-        edge, and the faces whose last edge it is.
-
-        The forest's edges are set first.  While some face has exactly one
-        unset slot, its edge comes next, forced by that face.  Otherwise the
-        next edge is a branch edge: the unset edge that lies in the most
-        faces with two unset slots, the first in walk order on ties.  A
-        queue of ready faces and per-face counts of unset slots keep the
-        build within O(E + F), plus one O(E) scan per branch edge."""
-        faces, forest = self.faces, self.spanning_forest
-        unset = [True] * len(self.edges)
-        for e in forest:
-            unset[e] = False
-        # score: faces with two unset slots, per edge, counted as they reach
-        # two.  A face that drops to one is ready, so its last edge is set
-        # before the next branch: at a branch every unset edge's score is exact.
-        score = [0] * len(self.edges)
-        left = [0] * len(faces)  # unset slots, per face
-        ready = deque()
-        steps: list[tuple[int, int, int]] = []
-        done_at: list[list[int]] = []
-
-        def update(changed):  # recount the unset slots of these faces
-            for f in changed:
-                a, b, c = faces[f]
-                n = unset[a] + unset[b] + unset[c]
-                if n == 0:  # done at this depth; not at the start, as the
-                    done_at[-1].append(f)  # forest holds no face's cycle or loop
-                elif n == 1:
-                    ready.append(f)
-                elif n == 2:  # it had three: counts only fall
-                    x, y = (a, b) if unset[a] and unset[b] else (a, c) if unset[a] else (b, c)
-                    score[x] += 1
-                    if y != x:
-                        score[y] += 1
-                left[f] = n
-
-        update(self.walk_faces)
-        while len(steps) < len(self.edges) - len(forest):
-            while ready and left[ready[0]] != 1:
-                ready.popleft()
-            if ready:
-                force = ready.popleft()
-                a, b, c = faces[force]
-                e, slot = (a, 0) if unset[a] else (b, 1) if unset[b] else (c, 2)
-            else:
-                force = slot = -1
-                e = max((e for e in self.walk_edges if unset[e]), key=score.__getitem__)
-            steps.append((e, force, slot))
-            done_at.append([])
-            unset[e] = False
-            update(self.edge_faces[e])
-        return ClosingPlan(tuple(steps), tuple(map(tuple, done_at)))
-
-    @cached_property
-    def tet_system(self) -> TetSystem:
-        """The rows and columns of the state sum's linear system on the
-        face colors, for the closed walk components only: a component
-        holding a boundary face (a face in exactly one tet slot) has tet
-        equations that are onto at every leaf, so it needs no row.  The
-        rows are the closed components' tets in reverse walk order, so a
-        reduction that pivots on the last row starts each face's column at
-        the tet where the walk first met the face.  A face keeps only its
-        places in those rows, and a face with none has no column."""
-        inc = self.face_incidence
-        closed = [component for component in self.walk
-                  if all(len(inc[f]) != 1 for t in component for f in self.tets[t])]
-        rows = tuple(t for component in reversed(closed) for t in reversed(component))
-        row = {t: i for i, t in enumerate(rows)}
-        columns = tuple(places for places in (
-            tuple((row[t], s == 0, 1 if s in (0, 2) else -1) for t, s in inc[f] if t in row)
-            for f in self.walk_faces) if places)
-        return TetSystem(rows, tuple(self.faces[self.tets[t][3]][2] for t in rows), columns)
-
-    @cached_property
-    def oracle_plans(self) -> dict[tuple[int, int], OraclePlan]:
-        """The oracle plans built so far, keyed by (|G|, |H|)."""
+    def plans(self) -> dict:
+        """The state sum's plans built so far (``statesum.closing_plan``,
+        ``tet_system`` and ``oracle_plan``), keyed by kind and for the
+        oracle by group orders."""
         return {}
-
-    def oracle_plan(self, g_order: int, h_order: int) -> OraclePlan:
-        """The brute oracle's contraction under groups of these orders,
-        built on first use and cached per pair of orders.
-
-        The variables are the edges (|G| values each), then the faces (|H|
-        values each).  Face f's factor holds (e01, e02, e12, f) and a tet's
-        (f012, f013, f023, f123, e23), in slot order; a variable filling
-        several slots of one factor is a diagonal.  Summing out v merges
-        the factors holding it into one over its neighbours, the other
-        variables they hold, and so joins every pair of those.  The order
-        is weighted min-fill: next the variable whose step joins the
-        fewest pairs not yet joined, each pair (a, b) weighted |a|·|b|,
-        ties broken by the merged factor's entries and variable count and
-        then the variable; the least key is found by a scan of the live
-        keys.  A step changes the neighbourhood of its neighbours alone, so only
-        they are re-keyed; any other variable next to both ends of a newly
-        joined pair only loses that pair.  The factors a step merges are
-        found by a scan of the live factors.  A variable that lies only
-        in the factor the step before it made is summed out in that step,
-        by dropping it from the step's output subscripts, so the order is
-        the same and one einsum sums out a consecutive run of it."""
-        plan = self.oracle_plans.get((g_order, h_order))
-        if plan is not None:
-            return plan
-        E, F, faces = len(self.edges), len(self.faces), self.faces
-        size = [g_order] * E + [h_order] * F
-        slots = ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(faces)]
-                 + [(*(E + f for f in t), faces[t[3]][2]) for t in self.tets])
-        live = dict(enumerate(slots))  # each live factor's variables, slot by slot
-        # per live variable: its merged scope, that is, itself and its neighbours
-        merged: dict[int, set[int]] = {}
-        for s in slots:
-            for v in s:
-                merged.setdefault(v, set()).update(s)
-        free = g_order ** (E - sum(v < E for v in merged))
-
-        def entries(scope):
-            return math.prod(map(size.__getitem__, scope))
-
-        def weight(variables):
-            return sum(map(size.__getitem__, variables))
-
-        # the fill of v: the pairs of its neighbours not yet joined, weighted
-        fill = {v: sum([size[a] * weight(m - merged[a]) for a in m]) // 2
-                for v, m in merged.items()}
-        keys = {v: (fill[v], entries(m), len(m), v) for v, m in merged.items()}
-        steps, made = [], -1  # made: the id of the factor the last step made
-        # the two tables the factors are read from: one per face, one per tet
-        largest = max(g_order**3 * h_order if F else 0, h_order**4 * g_order if self.tets else 0, 1)
-        while keys:
-            v = min(keys.values())[3]
-            del keys[v], fill[v]
-            near = merged.pop(v)
-            near.discard(v)
-            scope = sorted(near)
-            for u in scope:
-                merged[u].discard(v)
-            # a pair the step joins leaves the fill of each variable next to both
-            changed = set(scope)
-            for a in scope:
-                ma = merged[a]
-                for b in near - ma:
-                    if a < b:
-                        for w in ma & merged[b]:
-                            fill[w] -= size[a] * size[b]
-                            changed.add(w)
-            # a neighbour u loses v, so the pairs (v, x) for x next to u alone,
-            # and meets the rest of the scope, so the pairs (y, x) for y new to u
-            for u in scope:
-                mu = merged[u]
-                alone = mu - near
-                fill[u] += sum([size[y] * weight(alone - merged[y]) for y in near - mu]) \
-                    - size[v] * weight(alone)
-            for u in scope:
-                merged[u] |= near
-            for w in changed:
-                keys[w] = (fill[w], entries(merged[w]), len(merged[w]), w)
-            held = tuple(i for i, s in live.items() if v in s)
-            if held == (made,):  # v is only in the last step's factor: sum it out there
-                steps[-1] = (*steps[-1][:2], tuple(label[x] for x in scope))
-            else:
-                label = {x: j for j, x in enumerate((v, *scope))}
-                steps.append((held, tuple(tuple(label[x] for x in live.pop(i)) for i in held),
-                              tuple(label[x] for x in scope)))
-                made = len(slots) + len(steps) - 1
-            live[made] = scope
-            largest = max(largest, entries(scope))
-        plan = self.oracle_plans[g_order, h_order] = OraclePlan(tuple(steps), largest, free)
-        return plan
 
     @cached_property
     def simplicial(self) -> bool:

@@ -25,26 +25,21 @@ there and nowhere else.  Every factor reads one face table or one tet
 table through its own slots, a repeated variable being a diagonal that
 einsum takes; the two tables depend on the module alone, so they are
 built once per module and integer type and cached on it, read-only.  The
-elimination order is weighted min-fill (next the variable whose step
-joins the fewest pairs of variables not yet in one factor, each pair
-weighted by the product of its group orders).  It depends only on the
-complex and the two group orders, so it is planned once per complex and
-pair of orders, in pure Python, with each step's einsum subscripts, and
-cached on the complex (``oracle_plan``); a variable that lies only in the
-factor the step before it made is summed out in that step's einsum.  The
-size of the plan's largest table is budget-gated on every call.  Every
-entry counts colorings of the variables summed out, so it is at most the
-coloring space: the tables are int32 below 2^31 colorings and int64
-below 2^63, and a larger space is refused.
+elimination order is weighted min-fill, planned in pure Python with each
+step's einsum subscripts (``oracle_plan``), and the plan's largest table
+is budget-gated on every call.  Every entry counts colorings of the
+variables summed out, so it is at most the coloring space: the tables are
+int32 below 2^31 colorings and int64 below 2^63, and a larger space is
+refused.
 ``invariant`` is the engine for crossed modules, that is, modules with the
 Peiffer identity; it hands any other module to the oracle.  It fixes the
 gauge first: the edges of a spanning forest are pinned to e (the vertex
 gauge, a factor |G| each) and are no part of the search, and every other
 edge is colored by a coset representative of im(bnd) (the 2-gauge, a
-factor |im bnd| each).  It then searches those edges in the complex's
-closing order.  A forced edge is the one unset slot of a face whose other
-slots are set, so that face's flatness leaves it a single representative;
-only a branch edge ranges over all of them.  Each face is checked when its
+factor |im bnd| each).  It then searches those edges in the closing order
+(``closing_plan``).  A forced edge is the one unset slot of a face whose
+other slots are set, so that face's flatness leaves it a single
+representative; only a branch edge ranges over all of them.  Each face is checked when its
 last edge is set, and the search backtracks when the face's required
 boundary image is outside im(bnd).  At each leaf every face color is
 h_f = b_f * k_f, a fixed preimage b_f of the face's requirement times an
@@ -82,11 +77,9 @@ A call builds only what depends on the pair.  What depends on one side
 alone is built on first use and cached on that instance, so evaluating one
 complex under many modules, or one module on many complexes, builds it
 once.  On the complex (``OrderedComplex``): the spanning forest that is
-pinned, the closing order laid out per depth with the faces each depth
-closes (``closing_plan``), the rows and columns of the linear system
-for the closed components in tet-walk order (``tet_system``), and the
-oracle's plan per pair of group orders (``oracle_plan``).  On the
-module (``CrossedModule``): the Peiffer flag that picks the engine,
+pinned, and in ``plans``, which this module alone fills, the closing
+plan, the tet system and the oracle's plan per pair of group orders.  On
+the module (``CrossedModule``): the Peiffer flag that picks the engine,
 ker(bnd), the preimage and coset tables of im(bnd) (``boundary_tables``),
 the coordinates of A with its relations (``kernel_coordinates``), and the
 oracle's face and tet tables per integer type (``oracle_tables``).  A
@@ -98,8 +91,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import OrderedComplex
 from .crossed_modules import CrossedModule
@@ -210,6 +205,113 @@ def _result(n: int, cm: CrossedModule, c: OrderedComplex) -> InvariantValue:
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
+class OraclePlan(NamedTuple):
+    """The brute oracle's contraction for one pair of group orders.  The
+    factors are the faces, then the tets, then one per step; each step
+    sums out one or more variables and is (the factors it merges, their
+    einsum subscripts, the merged factor's subscripts).  ``largest`` is the
+    most entries of any table the oracle builds: the face table, the tet
+    table and each step's output; ``free`` is the factor of the variables
+    in no factor: the edges in no face, |G| each."""
+
+    steps: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]
+    largest: int
+    free: int
+
+
+def oracle_plan(c: OrderedComplex, g_order: int, h_order: int) -> OraclePlan:
+    """The brute oracle's contraction of ``c`` under groups of these
+    orders, built on first use and cached in ``c.plans`` per pair of orders.
+
+    The variables are the edges (|G| values each), then the faces (|H|
+    values each).  Face f's factor holds (e01, e02, e12, f) and a tet's
+    (f012, f013, f023, f123, e23), in slot order; a variable filling
+    several slots of one factor is a diagonal.  Summing out v merges
+    the factors holding it into one over its neighbours, the other
+    variables they hold, and so joins every pair of those.  The order
+    is weighted min-fill: next the variable whose step joins the
+    fewest pairs not yet joined, each pair (a, b) weighted |a|·|b|,
+    ties broken by the merged factor's entries and variable count and
+    then the variable; the least key is found by a scan of the live
+    keys.  A step changes the neighbourhood of its neighbours alone, so only
+    they are re-keyed; any other variable next to both ends of a newly
+    joined pair only loses that pair.  The factors a step merges are
+    found by a scan of the live factors.  A variable that lies only
+    in the factor the step before it made is summed out in that step,
+    by dropping it from the step's output subscripts, so the order is
+    the same and one einsum sums out a consecutive run of it."""
+    plan = c.plans.get((g_order, h_order))
+    if plan is not None:
+        return plan
+    E, F, faces = len(c.edges), len(c.faces), c.faces
+    size = [g_order] * E + [h_order] * F
+    slots = ([(e01, e02, e12, E + f) for f, (e01, e02, e12) in enumerate(faces)]
+             + [(*(E + f for f in t), faces[t[3]][2]) for t in c.tets])
+    live = dict(enumerate(slots))  # each live factor's variables, slot by slot
+    # per live variable: its merged scope, that is, itself and its neighbours
+    merged: dict[int, set[int]] = {}
+    for s in slots:
+        for v in s:
+            merged.setdefault(v, set()).update(s)
+    free = g_order ** (E - sum(v < E for v in merged))
+
+    def entries(scope):
+        return math.prod(map(size.__getitem__, scope))
+
+    def weight(variables):
+        return sum(map(size.__getitem__, variables))
+
+    # the fill of v: the pairs of its neighbours not yet joined, weighted
+    fill = {v: sum([size[a] * weight(m - merged[a]) for a in m]) // 2
+            for v, m in merged.items()}
+    keys = {v: (fill[v], entries(m), len(m), v) for v, m in merged.items()}
+    # built: the entries of each step's output; made: the id of the last step's factor
+    steps, built, made = [], [], -1
+    while keys:
+        v = min(keys.values())[3]
+        del keys[v], fill[v]
+        near = merged.pop(v)
+        near.discard(v)
+        scope = sorted(near)
+        for u in scope:
+            merged[u].discard(v)
+        # a pair the step joins leaves the fill of each variable next to both
+        changed = set(scope)
+        for a in scope:
+            ma = merged[a]
+            for b in near - ma:
+                if a < b:
+                    for w in ma & merged[b]:
+                        fill[w] -= size[a] * size[b]
+                        changed.add(w)
+        # a neighbour u loses v, so the pairs (v, x) for x next to u alone,
+        # and meets the rest of the scope, so the pairs (y, x) for y new to u
+        for u in scope:
+            mu = merged[u]
+            alone = mu - near
+            fill[u] += sum([size[y] * weight(alone - merged[y]) for y in near - mu]) \
+                - size[v] * weight(alone)
+        for u in scope:
+            merged[u] |= near
+        for w in changed:
+            keys[w] = (fill[w], entries(merged[w]), len(merged[w]), w)
+        held = tuple(i for i, s in live.items() if v in s)
+        if held == (made,):  # v is only in the last step's factor: sum it out there
+            steps[-1] = (*steps[-1][:2], tuple(label[x] for x in scope))
+            built.pop()
+        else:
+            label = {x: j for j, x in enumerate((v, *scope))}
+            steps.append((held, tuple(tuple(label[x] for x in live.pop(i)) for i in held),
+                          tuple(label[x] for x in scope)))
+            made = len(slots) + len(steps) - 1
+        live[made] = scope
+        built.append(entries(scope))
+    largest = max(g_order**3 * h_order if F else 0, h_order**4 * g_order if c.tets else 0,
+                  1, *built)
+    plan = c.plans[g_order, h_order] = OraclePlan(tuple(steps), largest, free)
+    return plan
+
+
 def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
                           budget: int | None = None) -> InvariantValue:
     """The oracle: N as an exact contraction of the state sum's local weights.
@@ -222,13 +324,8 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     (``_module_table``); every factor reads its kind's table with its slots
     as einsum subscripts, a variable filling several slots of one factor
     being a diagonal, which ``numpy.einsum`` takes.  The variables are
-    summed out in the weighted min-fill order of ``c.oracle_plan(|G|, |H|)``,
-    which is built once per complex and pair of group orders and holds
-    every step's einsum subscripts; a step merges the factors holding its
-    first variable into one over the other variables they hold, and sums
-    out with it the next variables of the order that lie in that merged
-    factor alone, so one einsum call sums out one or more variables.  A
-    variable in no factor multiplies N by its group's order.
+    summed out by the steps of ``oracle_plan(c, |G|, |H|)``, one einsum
+    call each.  A variable in no factor multiplies N by its group's order.
 
     The counts are exact in the narrowest type the space allows.  A table
     over the variables X that has absorbed the summed-out variables Y
@@ -240,11 +337,11 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
     product of the last tables, taken in Python ints.
 
     A call first refuses a space of 2^63 or more with BudgetExceededError,
-    before any plan is built; then a plan whose largest table (the face and
-    tet tables included) has more entries than the budget; only then runs
-    the steps.  The oracle shares only the complex and the group tables
-    with the fast engine, and is the only code in the package that imports
-    numpy.
+    before any plan is built; then a plan whose largest table (of the face
+    table, the tet table and the steps' outputs) has more entries than the
+    budget; only then runs the steps.  The oracle shares only the complex
+    and the group tables with the fast engine, and is the only code in the
+    package that imports numpy.
     """
     import numpy as np
 
@@ -256,7 +353,7 @@ def brute_force_invariant(cm: CrossedModule, c: OrderedComplex,
             f"{space} colorings: the oracle's int64 counts are exact only below "
             f"2^63; the fast engine (invariant) counts any module with the "
             f"Peiffer identity")
-    plan = c.oracle_plan(g.order, h.order)
+    plan = oracle_plan(c, g.order, h.order)
     if plan.largest > budget:
         raise BudgetExceededError(
             f"the contraction's largest table has {plan.largest} entries, over the "
@@ -305,6 +402,114 @@ def _module_table(cm: CrossedModule, kind: str, dtype: str):
 # fast engine: gauge-fixed edge search + linear counting on faces
 # ---------------------------------------------------------------------------
 
+class ClosingPlan(NamedTuple):
+    """The closing order per depth: the edge set there, the face that
+    forces it and the slot it fills in that face (-1 and -1 for a branch
+    edge), and the faces whose last edge it is."""
+
+    steps: tuple[tuple[int, int, int], ...]
+    faces_done_at: tuple[tuple[int, ...], ...]
+
+
+class TetSystem(NamedTuple):
+    """The layout of the tet equations that a leaf must solve: one row per
+    tet of a closed walk component (one holding no boundary face), those
+    tets in reverse walk order, each row's (23) edge, and per face with a
+    place in those rows, in walk order, its places there as (row, slot is
+    0, sign), sign +1 for slots 0 and 2 and -1 for slots 1 and 3."""
+
+    rows: tuple[int, ...]
+    row_e23: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, bool, int], ...], ...]
+
+
+def closing_plan(c: OrderedComplex) -> ClosingPlan:
+    """The closing order of the edges off the spanning forest, laid out
+    per depth for the search: each edge with the face that forces it and
+    the slot it fills there, or -1 and -1 for a branch edge, and the faces
+    whose last edge it is; built on first use and cached in ``c.plans``.
+
+    The forest's edges are set first.  While some face has exactly one
+    unset slot, its edge comes next, forced by that face.  Otherwise the
+    next edge is a branch edge: the unset edge that lies in the most
+    faces with two unset slots, the first in walk order on ties.  A
+    queue of ready faces and per-face counts of unset slots keep the
+    build within O(E + F), plus one O(E) scan per branch edge."""
+    plan = c.plans.get("closing_plan")
+    if plan is not None:
+        return plan
+    faces, forest = c.faces, c.spanning_forest
+    unset = [True] * len(c.edges)
+    for e in forest:
+        unset[e] = False
+    # score: faces with two unset slots, per edge, counted as they reach
+    # two.  A face that drops to one is ready, so its last edge is set
+    # before the next branch: at a branch every unset edge's score is exact.
+    score = [0] * len(c.edges)
+    left = [0] * len(faces)  # unset slots, per face
+    ready = deque()
+    steps: list[tuple[int, int, int]] = []
+    done_at: list[list[int]] = []
+
+    def update(changed):  # recount the unset slots of these faces
+        for f in changed:
+            u, v, w = faces[f]
+            n = unset[u] + unset[v] + unset[w]
+            if n == 0:  # done at this depth; not at the start, as the
+                done_at[-1].append(f)  # forest holds no face's cycle or loop
+            elif n == 1:
+                ready.append(f)
+            elif n == 2:  # it had three: counts only fall
+                x, y = (u, v) if unset[u] and unset[v] else (u, w) if unset[u] else (v, w)
+                score[x] += 1
+                if y != x:
+                    score[y] += 1
+            left[f] = n
+
+    update(c.walk_faces)
+    while len(steps) < len(c.edges) - len(forest):
+        while ready and left[ready[0]] != 1:
+            ready.popleft()
+        if ready:
+            force = ready.popleft()
+            u, v, w = faces[force]
+            e, slot = (u, 0) if unset[u] else (v, 1) if unset[v] else (w, 2)
+        else:
+            force = slot = -1
+            e = max((e for e in c.walk_edges if unset[e]), key=score.__getitem__)
+        steps.append((e, force, slot))
+        done_at.append([])
+        unset[e] = False
+        update(c.edge_faces[e])
+    plan = c.plans["closing_plan"] = ClosingPlan(tuple(steps), tuple(map(tuple, done_at)))
+    return plan
+
+
+def tet_system(c: OrderedComplex) -> TetSystem:
+    """The rows and columns of the linear system on the face colors, for
+    the closed walk components only, built on first use and cached in
+    ``c.plans``.  A component holding a boundary face has tet equations
+    that are onto at every leaf (``_solve``), so it needs no row.  The
+    rows are the closed components' tets in reverse walk order, so
+    ``_reduce``, which pivots on the largest key, starts each face's
+    column at the tet where the walk first met the face.  A face keeps
+    only its places in those rows, and a face with none has no column."""
+    system = c.plans.get("tet_system")
+    if system is not None:
+        return system
+    inc = c.face_incidence
+    closed = [component for component in c.walk
+              if all(len(inc[f]) != 1 for t in component for f in c.tets[t])]
+    rows = tuple(t for component in reversed(closed) for t in reversed(component))
+    row = {t: i for i, t in enumerate(rows)}
+    columns = tuple(places for places in (
+        tuple((row[t], s == 0, 1 if s in (0, 2) else -1) for t, s in inc[f] if t in row)
+        for f in c.walk_faces) if places)
+    system = c.plans["tet_system"] = TetSystem(
+        rows, tuple(c.faces[c.tets[t][3]][2] for t in rows), columns)
+    return system
+
+
 def _search(cm: CrossedModule, c: OrderedComplex, node_budget: int) -> int:
     """N: the gauge factor times the face counts summed over the leaves of
     an explicit-stack search along the closing order; past ``node_budget``
@@ -315,27 +520,28 @@ def _search(cm: CrossedModule, c: OrderedComplex, node_budget: int) -> int:
     the Peiffer identity the 2-gauge g_e -> bnd(y) g_e maps admissible
     colorings to admissible ones, so every other edge is colored by a coset
     representative of S = im(bnd) at a factor |S| each.  The edges are set
-    in the complex's closing order: a forced edge takes the one
+    in the closing order (``closing_plan``): a forced edge takes the one
     representative its forcing face allows, a branch edge each in turn, and
     each face is checked at its last edge.  Only the gauge factor, the
     relations copied once per row of a closed component, the edge colors
     and the faces' required boundary images depend on both the module and
     the complex; the rest is cached on one side."""
-    (steps, done_at), tables, coords = c.closing_plan, cm.boundary_tables, cm.kernel_coordinates
+    (steps, done_at), tables, coords = closing_plan(c), cm.boundary_tables, cm.kernel_coordinates
     pre, rep, reps = tables.preimage, tables.coset_rep, tables.coset_reps
     mul, inv, faces = cm.g.table, cm.g.inverses, c.faces
     rank = len(coords.generators)
-    # one copy per row; with A = {e} there is no relation and no row is read
+    # with A = {e} every leaf counts 1: no tet system is built, no relation copied
+    system = tet_system(c) if len(tables.kernel) > 1 else None
     relations = {i * rank + l: {i * rank + q: x for q, x in rel.items()}
                  for l, rel in enumerate(coords.relations)
-                 for i in range(len(c.tet_system.rows))}
+                 for i in range(len(system.rows))}  # one copy per row
     ga = [0] * len(c.edges)
     req = [-1] * len(faces)
     tried = [0] * len(steps)  # values tried so far at each depth
     total, depth, deepest, nodes = 0, 0, 0, 0
     while depth >= 0:
         if depth == len(steps):
-            total += _solve(cm, c, relations, ga, req)
+            total += _solve(cm, c, system, relations, ga, req)
             depth -= 1
             continue
         e, force, slot = steps[depth]
@@ -376,42 +582,36 @@ def _search(cm: CrossedModule, c: OrderedComplex, node_budget: int) -> int:
     return total * cm.g.order**len(c.spanning_forest) * tables.image_order**len(steps)
 
 
-def _solve(cm: CrossedModule, c: OrderedComplex, relations: dict,
-           g_assign: list[int], req: list[int]) -> int:
+def _solve(cm: CrossedModule, c: OrderedComplex, system: TetSystem | None,
+           relations: dict, g_assign: list[int], req: list[int]) -> int:
     """Face colorings of one leaf, given its edge colors ``g_assign`` and
     the faces' required boundary images ``req``, without search.
 
     With h_f = b_f * k_f, b_f = pre[req_f] and k_f in A, tet t's
     obstruction is w_t(b) + (g23 |> k012) + k023 - k123 - k013 in A: one
     equation per tet, one unknown per face.  The equations of a walk
-    component with a boundary face are onto its tets' A^T_c: along a
-    spanning tree of its tets rooted at a tet with a boundary face, each
-    tet's parent face (the root's boundary face) lies only in that tet and
-    its parent, so in those columns the equations are triangular with an
-    automorphism of A (+-1 or g23 |>) on the diagonal.  Those faces reach
-    no other row, so the image of A^F -> A^T is the bounded components'
-    A^T_c times its image in the closed components' rows, the only rows
-    that ``tet_system`` lays out: there are no solutions or
+    component with a boundary face are onto its tets' A^T_c, and triangular
+    in faces that reach no other row (the module docstring's spanning
+    tree), so the image of A^F -> A^T is the bounded components' A^T_c
+    times its image in the closed components' rows, the only rows of
+    ``system`` (``tet_system``): there are no solutions or
     |A|^(F - T + rows) / |image|, with image the order of the latter.
     A is written as Z^r modulo the module's relation lattice
     (``kernel_coordinates``, copied once per row in ``relations``), with
-    entries mod its exponent; the rows are the closed components' tets in
-    reverse walk order, so ``_reduce``, which pivots on the largest key,
-    starts each face's column at the tet where the walk first met the
-    face.  Face f's column for a_l sums g23 |> a_l over its slot-0 places
-    in those rows, +a_l over slot 2 and -a_l over slots 1 and 3.  With the
-    relations of the copies of A the columns span a lattice L in
-    Z^(r rows), and the image has order |A|^rows / [Z^(r rows) : L].  There
-    are solutions exactly when the constants coord(w_t(b)) of the rows lie
-    in L, as they do once the image is all of A^rows; then no column can
-    change the count either.  That is so from the start when no row is
+    entries mod its exponent.  Face f's column for a_l sums g23 |> a_l
+    over its slot-0 places in those rows, +a_l over slot 2 and -a_l over
+    slots 1 and 3.  With the relations of the copies of A the columns
+    span a lattice L in Z^(r rows), and the image has order
+    |A|^rows / [Z^(r rows) : L].  There are solutions exactly when the
+    constants coord(w_t(b)) of the rows lie in L, as they do once the
+    image is all of A^rows; then no column can change the count either.  That is so from the start when no row is
     left, as on every complex whose components all hold boundary.  With
-    A = {e} the count is 1, returned before the system is read.
+    A = {e} the count is 1, and ``system`` is None.
     """
     order = len(cm.boundary_tables.kernel)
     if order == 1:
         return 1
-    rows, row_e23, columns = c.tet_system
+    rows, row_e23, columns = system
     free = order**(len(c.faces) - len(c.tets) + len(rows))
     image, onto = 1, order**len(rows)
     if image == onto:

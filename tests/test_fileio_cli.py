@@ -512,7 +512,7 @@ z8_to_z2 = reduction_cm(build_cyclic(8), build_cyclic(2), [y % 2 for y in range(
 statesum.invariant(z8_to_z2, fixtures.s3_boundary_4simplex())
 assert cli.main(["invariant", "--complex", "solid_torus", "--cm", "id_z3"]) == 0
 # the oracle's plan is pure Python: only running it needs numpy
-fixtures.s3_boundary_4simplex().oracle_plan(3, 3)
+statesum.oracle_plan(fixtures.s3_boundary_4simplex(), 3, 3)
 assert "numpy" not in sys.modules, "numpy was imported"
 """
     src = Path(cmtop.__file__).resolve().parents[1]

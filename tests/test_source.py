@@ -124,3 +124,15 @@ def test_self_calls_are_found():
         "    def n(self, x):\n"
         "        return x\n")
     assert self_calls(tree) == [(2, "f"), (5, "g"), (9, "m")]
+
+
+def test_only_statesum_reads_or_writes_the_plans_of_a_complex():
+    # the complex holds the state sum's plans; statesum builds and reads them
+    touching = [path.name for path in SOURCES
+                if any(isinstance(n, ast.Attribute) and n.attr == "plans"
+                       for n in ast.walk(ast.parse(path.read_text(), str(path))))]
+    assert touching == ["statesum.py"]
+    tree = ast.parse(next(p for p in SOURCES if p.name == "complexes.py").read_text())
+    imported = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    assert imported and not [m for m in imported if "statesum" in m]

@@ -26,10 +26,13 @@ from cmtop.statesum import (
     Coloring,
     InvariantValue,
     brute_force_invariant,
+    closing_plan,
     face_holonomy,
     invariant,
     is_admissible,
+    oracle_plan,
     tet_obstruction,
+    tet_system,
 )
 
 
@@ -272,18 +275,18 @@ def test_budget_error_says_how_far_it_got():
 def test_set_up_is_cached_on_the_complex_and_on_the_module():
     cm, c = fixtures.crossed_module("conj_z3"), fixtures.s2_interval_big()
     first = invariant(cm, c)
-    plan, system = c.closing_plan, c.tet_system
+    plan, system = closing_plan(c), tet_system(c)
     tables, coords = cm.boundary_tables, cm.kernel_coordinates
     for budget in (None, 15, 10**4):
         assert invariant(cm, c, node_budget=budget) == first
-    assert c.closing_plan is plan and c.tet_system is system
+    assert closing_plan(c) is plan and tet_system(c) is system
     assert cm.boundary_tables is tables and cm.kernel_coordinates is coords
     # a relabeled or moved complex is a new instance with its own set-up
     for other in (relabel(c, {v: 10 - v for v in c.vertices}),
                   apply(c, MoveDescriptor("P14", 0))):
         assert invariant(cm, other).value == first.value
-        assert other.closing_plan is not plan and other.tet_system is not system
-        assert c.closing_plan is plan and cm.boundary_tables is tables
+        assert closing_plan(other) is not plan and tet_system(other) is not system
+        assert closing_plan(c) is plan and cm.boundary_tables is tables
     # so is a mutated module: an action entry, then a boundary image
     mutants = list(_cm_mutations(cm))
     for mutant in (mutants[0], mutants[-1]):
@@ -298,9 +301,31 @@ def test_a_trivial_kernel_builds_no_tet_system():
     big = fixtures.s2_interval_big()
     c = relabel(big, {v: v + 10 for v in big.vertices})
     assert invariant(fixtures.crossed_module("id_z2"), c).value == 1
-    assert "tet_system" not in vars(c)
+    assert "tet_system" not in c.plans
     invariant(fixtures.crossed_module("z4_to_z2"), c)
-    assert "tet_system" in vars(c)
+    assert "tet_system" in c.plans
+
+
+def test_the_plans_of_a_complex_are_cached_as_statesum_builds_them():
+    # a space of 2^63 or more is refused before anything is planned
+    big = fixtures.s2_interval_big()
+    c = relabel(big, {v: v + 10 for v in big.vertices})  # fresh: nothing cached
+    with pytest.raises(BudgetExceededError, match=r"exact only below 2\^63"):
+        brute_force_invariant(fixtures.crossed_module("id_z3"), c)
+    assert c.plans == {}
+    big = fixtures.s3_boundary_4simplex()
+    c = relabel(big, {v: v + 10 for v in big.vertices})
+    # a trivial kernel needs the closing plan alone
+    invariant(fixtures.crossed_module("id_z2"), c)
+    plan = closing_plan(c)
+    assert c.plans == {"closing_plan": plan}
+    invariant(fixtures.crossed_module("z4_to_z2"), c)
+    assert c.plans == {"closing_plan": plan, "tet_system": tet_system(c)}
+    # the oracle adds its plan under the module's group orders, (2, 3)
+    brute_force_invariant(fixtures.crossed_module("conj_z3"), c)
+    assert c.plans == {"closing_plan": plan, "tet_system": tet_system(c),
+                       (2, 3): oracle_plan(c, 2, 3)}
+    assert closing_plan(c) is plan
 
 
 _BOUNDED = ("single_tet", "two_tet_ball", "solid_torus", "s2_interval", "s2_interval_big")
@@ -308,12 +333,12 @@ _BOUNDED = ("single_tet", "two_tet_ball", "solid_torus", "s2_interval", "s2_inte
 
 def test_the_tet_system_lays_out_only_the_closed_components():
     for name in _BOUNDED:
-        assert fixtures.COMPLEXES[name]().tet_system == ((), (), ())
+        assert tet_system(fixtures.COMPLEXES[name]()) == ((), (), ())
     s3, torus = fixtures.s3_boundary_4simplex(), fixtures.solid_torus()
-    assert sorted(s3.tet_system.rows) == list(range(5))
+    assert sorted(tet_system(s3).rows) == list(range(5))
     for u, s3_tets in ((disjoint_union(torus, s3), range(3, 8)),
                        (disjoint_union(s3, torus), range(5))):
-        assert sorted(u.tet_system.rows) == list(s3_tets)
+        assert sorted(tet_system(u).rows) == list(s3_tets)
 
 
 def test_no_leaf_of_a_bounded_fixture_reduces_a_column(monkeypatch):
@@ -509,18 +534,18 @@ def test_budget_gate_names_the_largest_table():
     assert "78364164096 entries, over the budget of 1000000" in str(err.value)
 
 
-# the largest table of the oracle's min-fill order under each module of
-# fixtures.CM_NAMES, in that order, or None where the coloring space is
-# 2^63 or more
+# the largest table the oracle's min-fill order builds (the face table, the
+# tet table or a step's output) under each module of fixtures.CM_NAMES, in
+# that order, or None where the coloring space is 2^63 or more
 _LARGEST_TABLE = {
-    "single_tet": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 2048],
-    "s3_boundary_4simplex": [16384, 4782969, 78364164096, 4586471424, 139968, 128, 2187,
-                             279936, 1048576],
-    "solid_torus": [256, 6561, 1679616, 497664, 1296, 32, 243, 7776, 4096],
-    "s2_interval": [256, 6561, None, 331776, 1944, 16, 81, 1296, 8192],
-    "s2_interval_big": [32768, None, None, None, None, 256, 6561, 1679616, None],
-    "two_tet_ball": [128, 2187, 279936, 82944, 432, 16, 81, 1296, 2048],
-    "walk": [None, None, None, None, None, 256, 6561, None, None],
+    "single_tet": [64, 729, 46656, 20736, 216, 16, 81, 1296, 512],
+    "s3_boundary_4simplex": [16384, 4782969, 78364164096, 4586471424, 69984, 128, 2187,
+                             279936, 524288],
+    "solid_torus": [128, 2187, 279936, 124416, 648, 32, 243, 7776, 2048],
+    "s2_interval": [128, 2187, None, 331776, 1296, 16, 81, 1296, 4096],
+    "s2_interval_big": [32768, None, None, None, None, 128, 2187, 1679616, None],
+    "two_tet_ball": [64, 729, 46656, 20736, 216, 16, 81, 1296, 512],
+    "walk": [None, None, None, None, None, 128, 2187, None, None],
 }
 
 
@@ -615,7 +640,7 @@ def test_the_oracle_plan_follows_weighted_min_fill():
     # each step sums out one consecutive run of the min-fill order
     for c in _oracle_plan_cases():
         for orders in ((2, 2), (3, 1), (2, 4), (6, 3)):
-            steps = _planned_order(c, c.oracle_plan(*orders))
+            steps = _planned_order(c, oracle_plan(c, *orders))
             order = iter(_min_fill_by_definition(c, *orders))
             assert steps == [set(itertools.islice(order, len(s))) for s in steps], \
                 (c.counts, orders)
@@ -628,7 +653,7 @@ def test_no_oracle_step_holds_only_the_factor_the_step_before_made():
     for c in _oracle_plan_cases():
         factors = _oracle_factors(c)
         for orders in ((2, 2), (3, 1), (2, 4), (6, 3), (1, 1)):
-            plan = c.oracle_plan(*orders)
+            plan = oracle_plan(c, *orders)
             for k, (held, _, _) in enumerate(plan.steps[1:], start=len(factors)):
                 assert held != (k,), (c.counts, orders, k)
             gone = _planned_order(c, plan)
@@ -642,22 +667,22 @@ def test_the_oracle_plan_is_cached_per_complex_and_pair_of_orders():
     c = relabel(big, {v: v + 10 for v in big.vertices})  # fresh: nothing cached
     orders = cm.g.order, cm.h.order
     first = brute_force_invariant(cm, c)
-    plan = c.oracle_plan(*orders)
-    assert brute_force_invariant(cm, c) == first and c.oracle_plan(*orders) is plan
+    plan = oracle_plan(c, *orders)
+    assert brute_force_invariant(cm, c) == first and oracle_plan(c, *orders) is plan
     # a mutant with the same group orders reads the same plan
     mutant = next(_cm_mutations(cm))
     assert (mutant.g.order, mutant.h.order) == orders
     brute_force_invariant(mutant, c)
-    assert c.oracle_plans == {orders: plan}
+    assert c.plans == {orders: plan}
     # a relabeled complex is a new instance with a plan of its own
     other = relabel(c, {v: 30 - v for v in c.vertices})
     assert brute_force_invariant(cm, other) == first
-    assert other.oracle_plan(*orders) is not plan
+    assert oracle_plan(other, *orders) is not plan
     # on a cache hit the budget still gates the largest table
     with pytest.raises(BudgetExceededError) as err:
         brute_force_invariant(cm, c, budget=0)
     assert str(err.value).startswith(
-        "the contraction's largest table has 139968 entries, over the budget of 0;")
+        "the contraction's largest table has 69984 entries, over the budget of 0;")
 
 
 def test_a_second_oracle_call_reads_the_module_tables_of_the_first(monkeypatch):
@@ -697,17 +722,17 @@ def test_the_oracle_refuses_a_space_past_int64_before_it_plans(p14_ball):
     c = replace(p14_ball)  # a new instance, with nothing cached
     with pytest.raises(BudgetExceededError, match=r"exact only below 2\^63"):
         brute_force_invariant(fixtures.crossed_module("id_z2"), c)
-    assert "oracle_plans" not in vars(c)
+    assert c.plans == {}
     # under trivial G and H the space is 1, so the order is planned: 3010
     # variables summed out, in 1437 steps
     start = time.perf_counter()
-    plan = c.oracle_plan(1, 1)
+    plan = oracle_plan(c, 1, 1)
     assert time.perf_counter() - start < 10.0
     summed = sum(len({j for s in subscripts for j in s}) - len(out)
                  for _, subscripts, out in plan.steps)
     assert summed == 3010 and len(plan.steps) == 1437 and plan.largest == 1
     assert brute_force_invariant(identity_cm(build_trivial()), c).value == 1
-    assert c.oracle_plans == {(1, 1): plan}
+    assert c.plans == {(1, 1): plan}
 
 
 def test_invariant_is_bounded_by_default(monkeypatch):
